@@ -7,7 +7,7 @@ Commands:
   catalog list|show       enumerate or display catalog groups
 
 Exit codes: 0 ok, 1 verification mismatch, 2 parse error, 3 asymmetric
-subset, 4 exhaustive cap exceeded without --force.
+subset, 4 exhaustive cap exceeded without --force, 5 unusable checkpoint.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .catalog import GroupParseError
 from .cayley import AsymmetricSubsetError, CayleyGraph, SymmetricSubset
 from .groups import FiniteGroup
 from .integrality import verdict
-from .search import SCAN_ORDER_CAP, ScanCapExceeded, exhaustive_scan
+from .search import SCAN_ORDER_CAP, CheckpointError, ScanCapExceeded, exhaustive_scan
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -31,6 +31,7 @@ EXIT_VERIFY_MISMATCH = 1
 EXIT_PARSE_ERROR = 2
 EXIT_ASYMMETRIC = 3
 EXIT_CAP_EXCEEDED = 4
+EXIT_CHECKPOINT = 5
 
 
 def _canonical_json(d: dict) -> str:
@@ -246,6 +247,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ScanCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except CheckpointError as e:
+        print(f"checkpoint error: {e}", file=sys.stderr)
+        return EXIT_CHECKPOINT
     except GroupParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -100,11 +100,6 @@ class SpectraEngine:
         self.n = group.order
         self.xyinv = group.xy_inv_table()
 
-    @lru_cache(maxsize=None)
-    def _primes_for_degree(self, k: int) -> tuple:
-        bound = charpoly_coeff_bound(self.n, [k] * self.n)
-        return primes_for_bound(bound)
-
     def _coeff_residues(self, masks: Sequence[int]) -> Tuple[np.ndarray, tuple, list]:
         """Char-poly coefficients of every mask, modulo each needed prime.
 
@@ -122,7 +117,7 @@ class SpectraEngine:
         ).astype(np.int64)
         degrees = [int(x) for x in membership.sum(axis=1)]
         k_max = max(degrees, default=0)
-        primes = self._primes_for_degree(k_max)
+        primes = _primes_for_degree(n, k_max)
         t = len(primes)
         adj = membership[:, self.xyinv][None, :, :, :]  # (1, b, n, n), 0/1
         pcol = np.array(primes, dtype=np.int64).reshape(t, 1, 1, 1)
@@ -136,24 +131,6 @@ class SpectraEngine:
         for ti, p in enumerate(primes):
             coeff[ti] = _newton_batch(traces[ti], n, p)
         return coeff, primes, degrees
-
-    def char_polys(self, masks: Sequence[int]) -> List[IntPolynomial]:
-        """Exact characteristic polynomials for a batch of subset bitmasks."""
-        if not masks:
-            return []
-        coeff, primes, _ = self._coeff_residues(masks)
-        m_mod, weights = crt_context(primes)
-        half = m_mod >> 1
-        rows = coeff.tolist()  # rows[t][b][j]
-        t = len(primes)
-        polys: List[IntPolynomial] = []
-        for bi in range(len(masks)):
-            cs = []
-            for j in range(self.n + 1):
-                x = sum(rows[ti][bi][j] * weights[ti] for ti in range(t)) % m_mod
-                cs.append(x - m_mod if x > half else x)
-            polys.append(IntPolynomial.of(cs))
-        return polys
 
     def split_results(
         self, masks: Sequence[int]
@@ -251,6 +228,12 @@ class SpectraEngine:
             return ()
         bad = [float(v) for v in eig if abs(v - round(v)) > FLOAT_EVIDENCE_TOL]
         return tuple(sorted(bad))
+
+
+@lru_cache(maxsize=None)
+def _primes_for_degree(n: int, k: int) -> tuple:
+    """CRT primes covering the char-poly coefficients of a k-regular graph on n vertices."""
+    return primes_for_bound(charpoly_coeff_bound(n, [k] * n))
 
 
 def _newton_batch(traces: np.ndarray, n: int, p: int) -> np.ndarray:

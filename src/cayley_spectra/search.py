@@ -20,12 +20,13 @@ run across several worker processes, and can checkpoint and resume.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,10 @@ PROPERTIES = ("cayley_integral", "cis")
 
 class ScanCapExceeded(ValueError):
     """Raised when an exhaustive scan is requested above the order cap."""
+
+
+class CheckpointError(ValueError):
+    """Raised when a checkpoint file is unreadable or belongs to another scan."""
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,24 @@ def _masks_of_counters(counters: np.ndarray, cell_masks: Sequence[int]) -> np.nd
     return masks
 
 
+def _chunks(
+    family: SubsetFamily, start: int, end: int, perms: Sequence[Tuple[int, ...]]
+) -> Iterator[Tuple[int, np.ndarray, List[int]]]:
+    """(counters enumerated, kept counters, their masks) per chunk of [start, end).
+
+    With more than one cell permutation in perms, only the counter-minimal
+    member of each conjugation orbit is kept.
+    """
+    cell_masks = family.cell_masks()
+    for cs in range(start, end, _CHUNK):
+        counters = np.arange(cs, min(cs + _CHUNK, end), dtype=np.int64)
+        enumerated = len(counters)
+        if len(perms) > 1:
+            counters = counters[_canonical_keep(counters, perms)]
+        masks = _masks_of_counters(counters, cell_masks)
+        yield enumerated, counters, [int(m) for m in masks]
+
+
 # ---------------------------------------------------------------------------
 # scan results
 # ---------------------------------------------------------------------------
@@ -185,34 +208,25 @@ class ScanStats:
     wall_time_ms: float = 0.0
 
     def absorb(self, other: "ScanStats") -> None:
-        self.subsets_enumerated += other.subsets_enumerated
-        self.reduced_count += other.reduced_count
-        self.integral_count += other.integral_count
-        self.nonintegral_count += other.nonintegral_count
-        self.property_violations += other.property_violations
-        self.bound_checked += other.bound_checked
-        self.bound_weak_violations += other.bound_weak_violations
-        self.bound_strong_checked += other.bound_strong_checked
-        self.bound_strong_violations += other.bound_strong_violations
+        """Add another range's tallies; wall_time_ms is left to the driver."""
+        for f in fields(self):
+            if f.name != "wall_time_ms":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def to_json_dict(self) -> dict:
-        return {
-            "subsets_enumerated": self.subsets_enumerated,
-            "reduced_count": self.reduced_count,
-            "integral_count": self.integral_count,
-            "nonintegral_count": self.nonintegral_count,
-            "property_violations": self.property_violations,
-            "bound_checked": self.bound_checked,
-            "bound_weak_violations": self.bound_weak_violations,
-            "bound_strong_checked": self.bound_strong_checked,
-            "bound_strong_violations": self.bound_strong_violations,
-            "wall_time_ms": round(self.wall_time_ms, 3),
-        }
+        d = asdict(self)
+        d["wall_time_ms"] = round(self.wall_time_ms, 3)
+        return d
 
 
 @dataclass(frozen=True)
 class GroupVerdict:
-    """Outcome of scanning one property over one group's subsets."""
+    """Outcome of scanning one property over one group's subsets.
+
+    least_witnesses is filled by tally scans only: the counter-least
+    violation of each kind seen, ordered by counter.  It is left out of
+    the JSON so the report of a tally scan keeps its shape.
+    """
 
     group_label: str
     property_name: str
@@ -220,6 +234,10 @@ class GroupVerdict:
     exhausted: bool
     witnesses: Tuple[Witness, ...]
     stats: ScanStats
+    least_witnesses: Tuple[Witness, ...] = ()
+
+    def least_witness(self, kind: str) -> Optional[Witness]:
+        return next((w for w in self.least_witnesses if w.kind == kind), None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,12 +273,12 @@ def _scan_counters(
 ) -> Tuple[ScanStats, List[Witness]]:
     """Scan one counter range in chunks; stop early at witness_limit.
 
-    witness_limit None means tally-only: violations are counted but no
-    witnesses are materialized and the scan never stops early.
+    witness_limit None means tally mode: every violation is counted, the
+    scan never stops early, and the returned list holds only the
+    counter-least violation of each kind within the range.
     """
     engine = engine_for(group)
     perms = family.conjugation_cell_perms() if reduce_orbits else ()
-    cell_masks = family.cell_masks()
     n_order = group.order
     full = (1 << n_order) - 1
     odd_mask = sum(
@@ -271,18 +289,9 @@ def _scan_counters(
     perfect = is_perfect(group)
     stats = ScanStats()
     witnesses: List[Witness] = []
-    collecting = witness_limit is not None
     cis = property_name == "cis"
-    for cs in range(start, end, _CHUNK):
-        ce = min(cs + _CHUNK, end)
-        counters = np.arange(cs, ce, dtype=np.int64)
-        stats.subsets_enumerated += len(counters)
-        if reduce_orbits and len(perms) > 1:
-            counters = counters[_canonical_keep(counters, perms)]
-        if not len(counters):
-            continue
-        masks = _masks_of_counters(counters, cell_masks)
-        mask_list = [int(m) for m in masks]
+    for enumerated, counters, mask_list in _chunks(family, start, end, perms):
+        stats.subsets_enumerated += enumerated
         results = engine.split_results(mask_list)
         stats.reduced_count += len(results)
         for counter, mask, (k, roots, rest) in zip(counters, mask_list, results):
@@ -323,73 +332,37 @@ def _scan_counters(
             if kind is None:
                 continue
             stats.property_violations += 1
-            if not collecting:
-                continue
+            if witness_limit is None and any(w.kind == kind for w in witnesses):
+                continue  # counters ascend, so the first of each kind is the least
             if kind == "nonintegral":
                 detail["float_evidence"] = [
                     round(v, 9) for v in engine._float_evidence(mask)
                 ]
-            witnesses.append(_witness(group, kind, int(counter), mask, detail))
-            if len(witnesses) >= witness_limit:
+            witnesses.append(
+                Witness(kind, int(counter), mask, tuple(_names(group, mask)), detail)
+            )
+            if witness_limit is not None and len(witnesses) >= witness_limit:
                 return stats, witnesses
     return stats, witnesses
-
-
-def _witness(
-    group: FiniteGroup, kind: str, counter: int, bits: int, detail: dict
-) -> Witness:
-    return Witness(
-        kind=kind,
-        counter=counter,
-        bits=bits,
-        subset_names=tuple(_names(group, bits)),
-        detail=detail,
-    )
 
 
 def _names(group: FiniteGroup, bits: int) -> List[str]:
     return [group.name_of(x) for x in range(group.order) if bits >> x & 1]
 
 
-def _scan_task(args: tuple) -> tuple:
+def _scan_task(args: tuple) -> Tuple[ScanStats, List[Witness]]:
     """Worker-process entry: rebuilds the group, scans one range."""
     label, property_name, start, end, reduce_orbits, witness_limit = args
     group = catalog.build_cached(label)
-    family = SubsetFamily.of(group)
-    stats, witnesses = _scan_counters(
-        group, family, property_name, start, end, reduce_orbits, witness_limit
-    )
-    return (
-        stats,
-        [(w.kind, w.counter, w.bits, w.subset_names, w.detail) for w in witnesses],
+    return _scan_counters(
+        group, SubsetFamily.of(group), property_name, start, end,
+        reduce_orbits, witness_limit,
     )
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
-
-
-def _checkpoint_payload(
-    group: FiniteGroup,
-    family: SubsetFamily,
-    property_name: str,
-    reduce_orbits: bool,
-    next_counter: int,
-    stats: ScanStats,
-    witnesses: Sequence[Witness],
-) -> dict:
-    return {
-        "schema": 1,
-        "group_expr": group.label,
-        "property": property_name,
-        "reduce": reduce_orbits,
-        "cells": [list(c) for c in family.cells],
-        "subset_count": family.subset_count,
-        "next_counter": next_counter,
-        "stats": stats.to_json_dict(),
-        "witnesses": [w.to_json_dict() for w in witnesses],
-    }
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
@@ -406,36 +379,45 @@ def _load_checkpoint(
     family: SubsetFamily,
     property_name: str,
     reduce_orbits: bool,
-) -> Optional[dict]:
+) -> Optional[Tuple[int, ScanStats, List[Witness], List[Witness]]]:
+    """(next counter, stats, witnesses, least witnesses) saved at path.
+
+    None if there is no file yet.  Raises CheckpointError if the file is
+    not JSON, lacks a key, holds a value of the wrong type, or was written
+    by a different scan.
+    """
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise CheckpointError(f"checkpoint {path!r} is not valid JSON: {e}") from None
     matches = (
-        data.get("schema") == 1
+        isinstance(data, dict)
+        and data.get("schema") == 1
         and data.get("group_expr") == group.label
         and data.get("property") == property_name
         and data.get("reduce") == reduce_orbits
         and data.get("cells") == [list(c) for c in family.cells]
     )
     if not matches:
-        raise ValueError(f"checkpoint {path!r} does not match this scan")
-    return data
+        raise CheckpointError(f"checkpoint {path!r} does not match this scan")
+    try:
+        return (
+            int(data["next_counter"]),
+            _stats_from_json(data["stats"]),
+            [_witness_from_json(w) for w in data["witnesses"]],
+            [_witness_from_json(w) for w in data["least_witnesses"]],
+        )
+    except KeyError as e:
+        raise CheckpointError(f"checkpoint {path!r} lacks the key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint {path!r} is malformed: {e}") from None
 
 
 def _stats_from_json(d: dict) -> ScanStats:
-    return ScanStats(
-        subsets_enumerated=d.get("subsets_enumerated", 0),
-        reduced_count=d.get("reduced_count", 0),
-        integral_count=d.get("integral_count", 0),
-        nonintegral_count=d.get("nonintegral_count", 0),
-        property_violations=d.get("property_violations", 0),
-        bound_checked=d.get("bound_checked", 0),
-        bound_weak_violations=d.get("bound_weak_violations", 0),
-        bound_strong_checked=d.get("bound_strong_checked", 0),
-        bound_strong_violations=d.get("bound_strong_violations", 0),
-        wall_time_ms=d.get("wall_time_ms", 0.0),
-    )
+    return ScanStats(**{f.name: d[f.name] for f in fields(ScanStats)})
 
 
 def _witness_from_json(d: dict) -> Witness:
@@ -468,10 +450,12 @@ def exhaustive_scan(
 
     Stops after witness_limit violations; witness_limit None scans the
     whole range counting violations without materializing witnesses,
-    which keeps every stats field independent of the worker count.
-    max_counters bounds how many counters this call processes (the scan
-    is left resumable through its checkpoint); a scan cut short that
-    way has holds=None unless a violation already settled it.
+    which keeps every stats field independent of the worker count, and
+    records only the counter-least violation of each kind as
+    least_witnesses.  max_counters bounds how many counters this call
+    processes (the scan is left resumable through its checkpoint); a
+    scan cut short that way has holds=None unless a violation already
+    settled it.
     """
     if property_name not in PROPERTIES:
         raise ValueError(f"unknown scan property {property_name!r}")
@@ -484,79 +468,85 @@ def exhaustive_scan(
     total = family.subset_count
     stats = ScanStats()
     witnesses: List[Witness] = []
+    least: Dict[str, Witness] = {}
     start = 0
     if checkpoint:
-        data = _load_checkpoint(checkpoint, group, family, property_name, reduce_orbits)
-        if data is not None:
-            start = data["next_counter"]
-            stats = _stats_from_json(data["stats"])
-            witnesses = [_witness_from_json(w) for w in data["witnesses"]]
+        saved = _load_checkpoint(checkpoint, group, family, property_name, reduce_orbits)
+        if saved is not None:
+            start, stats, witnesses, saved_least = saved
+            least = {w.kind: w for w in saved_least}
     end = total if max_counters is None else min(total, start + max_counters)
+    if witness_limit is not None and len(witnesses) >= witness_limit:
+        end = start  # resumed with every witness asked for already found
     t0 = time.monotonic()
     wall_base = stats.wall_time_ms
     next_counter = start
 
     def note_progress() -> None:
         if checkpoint:
-            _write_checkpoint(
-                checkpoint,
-                _checkpoint_payload(
-                    group, family, property_name, reduce_orbits,
-                    next_counter, stats, witnesses,
-                ),
-            )
+            _write_checkpoint(checkpoint, {
+                "schema": 1,
+                "group_expr": group.label,
+                "property": property_name,
+                "reduce": reduce_orbits,
+                "cells": [list(c) for c in family.cells],
+                "subset_count": total,
+                "next_counter": next_counter,
+                "stats": stats.to_json_dict(),
+                "witnesses": [w.to_json_dict() for w in witnesses],
+                "least_witnesses": [w.to_json_dict() for w in least.values()],
+            })
 
-    limit_hit = witness_limit is not None and len(witnesses) >= witness_limit
-    if workers > 1 and start < end and not limit_hit:
+    if workers > 1 and start < end:
         try:
             rebuilt = catalog.build_cached(group.label)
         except Exception:
             rebuilt = None
         if rebuilt is None or rebuilt.table != group.table:
             workers = 1  # not reconstructible from its label in a worker
-    if workers > 1 and start < end and not limit_hit:
-        task_size = max(_CHUNK, ((end - start) // (workers * 8)) // _CHUNK * _CHUNK)
-        spans = [
-            (s, min(s + task_size, end)) for s in range(start, end, task_size)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _scan_task,
-                    (group.label, property_name, s, e, reduce_orbits, witness_limit),
+    parallel = workers > 1 and start < end
+    if parallel:
+        size = max(_CHUNK, ((end - start) // (workers * 8)) // _CHUNK * _CHUNK)
+    else:
+        size = _CHUNK * 8
+    spans = [(s, min(s + size, end)) for s in range(start, end, size)]
+    with (
+        ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext()
+    ) as pool:
+        if pool is None:
+            # serial spans get the remaining limit, so they stop at the last witness
+            results: Iterator[Tuple[ScanStats, List[Witness]]] = (
+                _scan_counters(
+                    group, family, property_name, s, e, reduce_orbits,
+                    None if witness_limit is None else witness_limit - len(witnesses),
                 )
                 for s, e in spans
-            ]
-            for (s, e), fut in zip(spans, futures):
-                part_stats, part_wits = fut.result()
-                stats.absorb(part_stats)
-                for kind, counter, bits, names, detail in part_wits:
-                    witnesses.append(Witness(kind, counter, bits, tuple(names), detail))
-                next_counter = (
-                    s + part_stats.subsets_enumerated
-                )  # tasks stop early only on witnesses
-                stats.wall_time_ms = wall_base + (time.monotonic() - t0) * 1000.0
-                note_progress()
-                if witness_limit is not None and len(witnesses) >= witness_limit:
-                    for f in futures:
-                        f.cancel()
-                    break
-            else:
-                next_counter = end
-    elif start < end and not limit_hit:
-        span = _CHUNK * 8
-        for s in range(start, end, span):
-            e = min(s + span, end)
-            part_stats, part_wits = _scan_counters(
-                group, family, property_name, s, e, reduce_orbits,
-                None if witness_limit is None else witness_limit - len(witnesses),
             )
+        else:
+            results = pool.map(
+                _scan_task,
+                [(group.label, property_name, s, e, reduce_orbits, witness_limit)
+                 for s, e in spans],
+            )
+        for (s, _e), (part_stats, part_wits) in zip(spans, results):
             stats.absorb(part_stats)
-            witnesses.extend(part_wits)
-            next_counter = s + part_stats.subsets_enumerated
+            for w in part_wits:
+                if witness_limit is not None:
+                    witnesses.append(w)
+                elif w.kind not in least or w.counter < least[w.kind].counter:
+                    # Conjugation preserves every witness predicate (the
+                    # spectrum, generation, and whether the complement is a
+                    # subgroup), so the counter-least witness overall is the
+                    # counter-least member of its orbit: the one member a
+                    # reduced scan keeps.  Merging by minimum counter makes
+                    # the result independent of spans and worker count.
+                    least[w.kind] = w
+            next_counter = s + part_stats.subsets_enumerated  # spans stop early only on witnesses
             stats.wall_time_ms = wall_base + (time.monotonic() - t0) * 1000.0
             note_progress()
             if witness_limit is not None and len(witnesses) >= witness_limit:
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
                 break
         else:
             next_counter = end
@@ -579,6 +569,7 @@ def exhaustive_scan(
         exhausted=next_counter >= total,
         witnesses=tuple(witnesses),
         stats=stats,
+        least_witnesses=tuple(sorted(least.values(), key=lambda w: w.counter)),
     )
 
 
@@ -602,7 +593,8 @@ def is_cis(group: FiniteGroup, **kwargs) -> GroupVerdict:
     return exhaustive_scan(group, "cis", **kwargs)
 
 
-WITNESS_KINDS = ("nonintegral", "integral_noncomplement")
+# the violation kind that refutes each property
+WITNESS_KIND = {"cayley_integral": "nonintegral", "cis": "integral_noncomplement"}
 
 
 def symmetric_subsets(
@@ -615,16 +607,9 @@ def symmetric_subsets(
     """
     family = SubsetFamily.of(group)
     perms = family.conjugation_cell_perms() if reduce_conjugacy else ()
-    cell_masks = family.cell_masks()
-    total = family.subset_count
-    for cs in range(0, total, _CHUNK):
-        counters = np.arange(cs, min(cs + _CHUNK, total), dtype=np.int64)
-        if reduce_conjugacy and len(perms) > 1:
-            counters = counters[_canonical_keep(counters, perms)]
-        if not len(counters):
-            continue
-        for m in _masks_of_counters(counters, cell_masks):
-            yield SymmetricSubset(group, int(m))
+    for _, _, masks in _chunks(family, 0, family.subset_count, perms):
+        for m in masks:
+            yield SymmetricSubset(group, m)
 
 
 def find_witness(
@@ -636,34 +621,18 @@ def find_witness(
     integral_noncomplement: integral and generating, yet the complement
     together with the identity is not a subgroup.
 
-    The enumeration is unreduced, so the returned subset is the
-    counter-least witness overall.  None means no subset qualifies.
+    Runs an unreduced scan of the property the kind refutes
+    (cayley_integral or cis), stopped at its first violation, so the
+    returned subset is the counter-least witness overall.  None means no
+    subset qualifies.
     """
-    if kind not in WITNESS_KINDS:
+    prop = next((p for p, k in WITNESS_KIND.items() if k == kind), None)
+    if prop is None:
         raise ValueError(f"unknown witness kind {kind!r}")
-    if group.order > SCAN_ORDER_CAP and not force:
-        raise ScanCapExceeded(
-            f"group order {group.order} exceeds the exhaustive-scan cap "
-            f"{SCAN_ORDER_CAP}; pass force to scan anyway"
-        )
-    family = SubsetFamily.of(group)
-    engine = engine_for(group)
-    cell_masks = family.cell_masks()
-    full = (1 << group.order) - 1
-    total = family.subset_count
-    for cs in range(0, total, _CHUNK):
-        counters = np.arange(cs, min(cs + _CHUNK, total), dtype=np.int64)
-        masks = _masks_of_counters(counters, cell_masks)
-        mask_list = [int(m) for m in masks]
-        for mask, (k, roots, rest) in zip(mask_list, engine.split_results(mask_list)):
-            integral = rest.degree == 0
-            if kind == "nonintegral":
-                if not integral:
-                    return SymmetricSubset(group, mask)
-            elif (
-                integral
-                and roots.get(k, 0) == 1
-                and not _is_subgroup_mask(group, full & ~mask)
-            ):
-                return SymmetricSubset(group, mask)
-    return None
+    gv = exhaustive_scan(group, prop, reduce_orbits=False, force=force, witness_limit=1)
+    if not gv.witnesses:
+        return None
+    w = gv.witnesses[0]
+    if w.kind != kind:
+        raise RuntimeError(f"scan guard fired on {group.label}: {w.to_json_dict()}")
+    return SymmetricSubset(group, w.bits)

@@ -4,8 +4,9 @@ Each suite re-derives one classification or identity from scratch
 (exhaustive scans, random lift instances, representation cross-checks)
 and compares the outcome against a hard-coded expectation table.  A
 report is deterministic across runs and worker counts: scans run in
-tally mode (no early exit), witnesses are extracted by a separate
-single-threaded counter-order pass, and wall times are carried only as
+tally mode (no early exit), each failing group's witness is the
+counter-least violation that tally scan records (merged by minimum
+counter across workers), and wall times are carried only as
 informational fields.
 """
 
@@ -15,7 +16,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import __version__, catalog
 from .cayley import (
@@ -41,7 +42,7 @@ from .groups import (
 from .integrality import verdict
 from .intlinalg import IntMatrix, IntPolynomial
 from .repcheck import ds_union_check, rep_integral, system_for
-from .search import GroupVerdict, exhaustive_scan, find_witness, symmetric_subsets
+from .search import WITNESS_KIND, GroupVerdict, exhaustive_scan, symmetric_subsets
 
 SUITE_NAMES = ("ab", "cis", "ks", "main", "bounds", "lifts", "ds", "s4-transitive")
 
@@ -130,12 +131,10 @@ class VerificationReport:
 # suite replays the universes of the classification suites, and the
 # verdicts are worker-count independent so the key can ignore threads.
 _SCAN_MEMO: Dict[Tuple[str, str, bool], GroupVerdict] = {}
-_WITNESS_MEMO: Dict[Tuple[str, str], Optional[int]] = {}
 
 
 def clear_memos() -> None:
     _SCAN_MEMO.clear()
-    _WITNESS_MEMO.clear()
 
 
 def _scan(label: str, prop: str, reduce_orbits: bool, threads: int) -> GroupVerdict:
@@ -151,21 +150,6 @@ def _scan(label: str, prop: str, reduce_orbits: bool, threads: int) -> GroupVerd
         )
         _SCAN_MEMO[key] = got
     return got
-
-
-def _witness_bits(label: str, kind: str) -> Optional[int]:
-    key = (label, kind)
-    if key not in _WITNESS_MEMO:
-        w = find_witness(catalog.build_cached(label), kind)
-        _WITNESS_MEMO[key] = None if w is None else w.bits
-    return _WITNESS_MEMO[key]
-
-
-def _names_of_bits(g: FiniteGroup, bits: int) -> List[str]:
-    return [g.name_of(x) for x in range(g.order) if bits >> x & 1]
-
-
-_WITNESS_KIND = {"cayley_integral": "nonintegral", "cis": "integral_noncomplement"}
 
 
 def _group_record(
@@ -188,16 +172,12 @@ def _group_record(
         "wall_time_ms": round(v.stats.wall_time_ms, 3),
     }
     if v.holds is False:
-        bits = _witness_bits(label, _WITNESS_KIND[prop])
-        if bits is None:
+        w = v.least_witness(WITNESS_KIND[prop])
+        if w is None:
             rec["ok"] = False  # a violation was counted but no witness found
         else:
             rec["witnesses"] = [
-                {
-                    "kind": _WITNESS_KIND[prop],
-                    "subset": _names_of_bits(g, bits),
-                    "bits": hex(bits),
-                }
+                {"kind": w.kind, "subset": list(w.subset_names), "bits": hex(w.bits)}
             ]
     return rec
 

@@ -4,19 +4,21 @@ import json
 
 import pytest
 
-from cayley_spectra.catalog import build_cached
+from cayley_spectra.catalog import build_cached, catalog_up_to_12
 from cayley_spectra.cayley import CayleyGraph, SymmetricSubset
 from cayley_spectra.groups import is_subgroup
 from cayley_spectra.integrality import verdict
 from cayley_spectra.search import (
     ScanCapExceeded,
     SubsetFamily,
+    _stats_from_json,
     exhaustive_scan,
     find_witness,
     is_cayley_integral,
     is_cis,
     symmetric_subsets,
 )
+from cayley_spectra.suites import CIS_TRUE, MAIN_TRUE_12
 
 # number of inverse-closed cells per group, hence 2^cells subsets
 CELL_COUNTS = {
@@ -195,3 +197,47 @@ def test_checkpoint_mismatch_rejected(tmp_path):
             build_cached("D4"), "cayley_integral", witness_limit=None,
             checkpoint=str(ckpt),
         )
+
+
+# every failing (group, property) pair of order <= 12 in the main and cis suites
+FAILING_LE_12 = [
+    (label, prop)
+    for prop, true_set in (("cayley_integral", MAIN_TRUE_12), ("cis", CIS_TRUE))
+    for label, _ in catalog_up_to_12()
+    if label not in true_set
+]
+
+
+@pytest.mark.parametrize("label,prop", FAILING_LE_12)
+def test_tally_least_witness_is_first_unreduced_witness(label, prop):
+    g = build_cached(label)
+    first = exhaustive_scan(g, prop, reduce_orbits=False, witness_limit=1).witnesses[0]
+    for workers in (1, 2):
+        tally = exhaustive_scan(g, prop, workers=workers, witness_limit=None)
+        assert tally.holds is False and tally.witnesses == ()
+        least = tally.least_witness(first.kind)
+        assert least is not None
+        assert (least.counter, least.bits) == (first.counter, first.bits)
+
+
+def test_resume_across_worker_counts(tmp_path):
+    g = build_cached("D6")
+    ckpt = str(tmp_path / "scan.json")
+    cut = exhaustive_scan(
+        g, "cayley_integral", workers=2, witness_limit=None,
+        checkpoint=ckpt, max_counters=64,
+    )
+    assert not cut.exhausted and cut.least_witnesses  # D6's least witness is counter 24
+    resumed = exhaustive_scan(
+        g, "cayley_integral", workers=1, witness_limit=None, checkpoint=ckpt
+    )
+    fresh = exhaustive_scan(g, "cayley_integral", witness_limit=None)
+    a, b = resumed.stats.to_json_dict(), fresh.stats.to_json_dict()
+    a.pop("wall_time_ms")
+    b.pop("wall_time_ms")
+    assert a == b
+    assert resumed.holds is fresh.holds is False
+    assert resumed.least_witnesses == fresh.least_witnesses
+    for s in (cut.stats, resumed.stats, fresh.stats):
+        d = s.to_json_dict()
+        assert _stats_from_json(d).to_json_dict() == d

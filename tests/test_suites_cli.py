@@ -5,6 +5,8 @@ import json
 import pytest
 
 from cayley_spectra import __version__, cli
+from cayley_spectra.catalog import build_cached
+from cayley_spectra.search import exhaustive_scan
 from cayley_spectra.suites import SUITE_NAMES, clear_memos, run_suite
 
 
@@ -48,6 +50,17 @@ def test_ds_suite_deterministic_modulo_timing():
     clear_memos()
     second = run_suite("ds").to_json_dict()
     assert _strip_times(first) == _strip_times(second)
+
+
+def test_cis_report_independent_of_threads():
+    """The witnesses merged across workers match a single-process run."""
+    clear_memos()
+    two = run_suite("cis", threads=2).to_json_dict()
+    clear_memos()
+    one = run_suite("cis", threads=1).to_json_dict()
+    assert two.pop("config") == {"threads": 2, "reduce": True}
+    assert one.pop("config") == {"threads": 1, "reduce": True}
+    assert _strip_times(two) == _strip_times(one)
 
 
 def test_lifts_report_structure(suite_report):
@@ -247,6 +260,36 @@ def test_error_exit_codes(capsys, argv, code):
     rc = cli.main(argv)
     capsys.readouterr()
     assert rc == code
+
+
+@pytest.mark.parametrize(
+    "damage", ["other_scan", "truncated", "missing_key", "malformed_stats"]
+)
+def test_checkpoint_error_exit_code(capsys, tmp_path, damage):
+    ckpt = tmp_path / "scan.json"
+    exhaustive_scan(
+        build_cached("D4"), "cayley_integral", witness_limit=None,
+        checkpoint=str(ckpt), max_counters=16,
+    )
+    group = "D4"
+    if damage == "other_scan":
+        group = "Q8"
+    elif damage == "truncated":
+        text = ckpt.read_text()
+        ckpt.write_text(text[: len(text) // 2])
+    else:
+        state = json.loads(ckpt.read_text())
+        if damage == "missing_key":
+            del state["next_counter"]
+        else:
+            state["stats"] = []
+        ckpt.write_text(json.dumps(state))
+    rc = cli.main(
+        ["check", group, "cayley-integral", "--threads", "1", "--checkpoint", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("checkpoint error: ")
 
 
 def test_version_flag(capsys):
