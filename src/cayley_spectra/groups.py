@@ -42,6 +42,7 @@ class FiniteGroup:
         "_orders",
         "_is_abelian",
         "_cell_cache",
+        "__weakref__",
     )
 
     def __init__(

@@ -3,7 +3,10 @@
 The default engine computes the exact characteristic polynomial of the
 adjacency matrix (modular traces + CRT against a proven coefficient
 bound) and splits off integer roots; the spectrum is integral iff the
-split is complete.  Floating point is never part of the certificate.
+split is complete.  Scans use the engine's batched certificate instead
+(SpectraEngine.certify): the char poly modulo one prime, then an
+annihilator check on the identity row.  Floating point is never part of
+a certificate.
 
 A second engine certifies through eigenspace dimensions: for each
 integer candidate t in [-k, k] it computes mult(t) = n - rank(A - tI)
@@ -15,6 +18,7 @@ char-poly route is the default because it is far cheaper per subset.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,6 +28,7 @@ import numpy as np
 from .cayley import CayleyGraph
 from .groups import FiniteGroup, is_perfect
 from .intlinalg import (
+    PRIMES,
     IntMatrix,
     IntPolynomial,
     charpoly_coeff_bound,
@@ -33,6 +38,9 @@ from .intlinalg import (
 )
 
 FLOAT_EVIDENCE_TOL = 1e-9
+# root hits per block in _roots_mod: its work arrays stay near 1 MB beside
+# the adjacency block a certificate holds
+_HIT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -88,49 +96,142 @@ class SpectrumVerdict:
 class SpectraEngine:
     """Per-group engine turning subset bitmasks into exact verdicts.
 
-    Verdicts for many subsets are computed in one numpy pass: power-sum
-    traces of the adjacency matrices modulo word-size primes (using that
-    powers of a vertex-transitive graph's adjacency matrix have constant
-    diagonal, so tr(A^i) = n * (A^i)[e,e]), Newton's identities per
-    prime, CRT lift, then an exact integer-root split per subset.
+    Two routes share one adjacency builder and one trace walk.  The scan
+    route, certify(), decides integrality for a whole batch from the char
+    poly modulo one prime plus an annihilator check on the identity row,
+    with no big integers per mask.  The exact route, split_results(),
+    lifts the char poly by CRT and splits off its integer roots; it
+    serves verdict(), witness detail, and the capacity fallback of
+    certify().
+
+    Traces come from the identity row alone: right translations are
+    automorphisms acting transitively, so every power of A has constant
+    diagonal and tr(A^i) = n * (A^i)[e, e].  The engine keeps no
+    reference to its group, so engine_for can cache it weakly.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
-        self.group = group
         self.n = group.order
+        self.identity = group.identity
         self.xyinv = group.xy_inv_table()
+
+    def _adjacency(self, masks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """(A, degrees): a C-contiguous float64 (b, n, n) block of 0/1
+        adjacency matrices, A[b, x, y] = [x y^-1 in S_b], and the degrees.
+
+        np.take writes the block once, batch-major, so each A_b is one
+        contiguous matrix for BLAS.  Masks are uint64, so n <= 64.
+        """
+        n = self.n
+        arr = np.array([int(m) for m in masks], dtype=np.uint64)
+        membership = (
+            (arr[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        ).astype(np.float64)
+        degrees = membership.sum(axis=1).astype(np.int64)
+        return np.take(membership, self.xyinv, axis=1), degrees
+
+    def _traces(self, adj: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+        """tr(A^1..A^n) modulo each prime, shape (t, b, n), int64.
+
+        A is symmetric (S is inverse-closed), so with v_j = e^T A^j,
+        (A^(i+j))[e, e] = v_i . v_j and ceil(n/2) matrix-vector steps give
+        all n traces.  The steps run in float64 and are exact: entries of
+        v are reduced below p < 2^28 and A is 0/1, so every partial sum
+        stays below n * p < 2^34.  The dot products run in int64: n <= 64
+        products below p^2 < 2^56 sum below 2^62.
+        """
+        n = self.n
+        t, b = len(primes), adj.shape[0]
+        pf = np.array(primes, dtype=np.float64).reshape(t, 1, 1, 1)
+        pi = np.array(primes, dtype=np.int64).reshape(t, 1)
+        v = np.zeros((t, b, 1, n))
+        v[:, :, 0, self.identity] = 1.0
+        prev = v[:, :, 0, :].astype(np.int64)
+        diag = np.empty((t, b, n), dtype=np.int64)  # diag[..., m-1] = (A^m)[e, e]
+        for j in range(1, (n + 1) // 2 + 1):
+            v = np.fmod(np.matmul(v, adj), pf)
+            cur = v[:, :, 0, :].astype(np.int64)
+            diag[:, :, 2 * j - 2] = (prev * cur).sum(axis=-1) % pi
+            if 2 * j <= n:
+                diag[:, :, 2 * j - 1] = (cur * cur).sum(axis=-1) % pi
+            prev = cur
+        return diag * n % pi[:, :, None]
 
     def _coeff_residues(self, masks: Sequence[int]) -> Tuple[np.ndarray, tuple, list]:
         """Char-poly coefficients of every mask, modulo each needed prime.
 
         Returns (C, primes, degrees) where C[t, b, j] = c_j of
-        det(xI - A_b) mod primes[t].  Traces tr(A^i) come from the
-        identity row alone: right translations are automorphisms acting
-        transitively, so every power of A has constant diagonal and
-        tr(A^i) = n * (A^i)[e, e].
+        det(xI - A_b) mod primes[t]; the primes cover the coefficient
+        bound of the largest degree in the batch.
         """
-        n = self.n
-        b = len(masks)
-        arr = np.array([int(m) for m in masks], dtype=np.uint64)
-        membership = (
-            (arr[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-        ).astype(np.int64)
-        degrees = [int(x) for x in membership.sum(axis=1)]
-        k_max = max(degrees, default=0)
-        primes = _primes_for_degree(n, k_max)
-        t = len(primes)
-        adj = membership[:, self.xyinv][None, :, :, :]  # (1, b, n, n), 0/1
-        pcol = np.array(primes, dtype=np.int64).reshape(t, 1, 1, 1)
-        v = np.zeros((t, b, 1, n), dtype=np.int64)
-        v[:, :, 0, self.group.identity] = 1
-        traces = np.empty((t, b, n), dtype=np.int64)
-        for i in range(n):
-            v = np.matmul(v, adj) % pcol
-            traces[:, :, i] = v[:, :, 0, self.group.identity] * n % pcol[:, :, 0, 0]
-        coeff = np.empty((t, b, n + 1), dtype=np.int64)
+        adj, deg = self._adjacency(masks)
+        degrees = deg.tolist()
+        primes = _primes_for_degree(self.n, max(degrees, default=0))
+        traces = self._traces(adj, primes)
+        coeff = np.empty((len(primes), len(masks), self.n + 1), dtype=np.int64)
         for ti, p in enumerate(primes):
-            coeff[ti] = _newton_batch(traces[ti], n, p)
+            coeff[ti] = _newton_batch(traces[ti], self.n, p)
         return coeff, primes, degrees
+
+    def certify(self, masks: Sequence[int]) -> List[Tuple[int, Optional[Dict[int, int]]]]:
+        """(degree, exact spectrum, or None when non-integral) per mask.
+
+        1. Char poly mod p0 = PRIMES[0] only (one trace walk, one Newton).
+        2. Multiplicities mod p0 of the candidates r in [-k, k], which hold
+           every eigenvalue of a k-regular graph and stay distinct mod p0
+           because p0 > 2k.  A root of multiplicity m over Z is one of
+           multiplicity >= m mod p0, so mod-p0 multiplicities only
+           over-count: if they sum to less than n, the spectrum is
+           certified non-integral.
+        3. Otherwise let T be the candidates found and check
+           e^T prod_{r in T} (A - rI) = 0 over Z.  A is the regular
+           representation of a = sum(S) in Z[G], and so is the product; the
+           e-row of the matrix of z in Z[G] lists z's coefficients (entry y
+           is z_(y^-1)), so a zero e-row means z = 0 and the check decides
+           prod (A - rI) = 0.
+           For symmetric A that holds iff every eigenvalue lies in T:
+           integral spectra pass (T contains each eigenvalue) and others
+           fail.  The e-row has l1 norm at most B = prod (k + |r|), so a
+           zero residue modulo primes whose product exceeds 2B is a zero
+           over Z.  A mask whose B outruns the CRT primes goes through the
+           exact path instead: capacity never decides a verdict.
+        4. For an integral spectrum char(A) = prod (x - r)^m(r) over Z, and
+           the candidates are distinct mod p0, so the mod-p0 multiplicities
+           are the exact spectrum.
+        """
+        if not masks:
+            return []
+        n, b = self.n, len(masks)
+        adj, deg = self._adjacency(masks)
+        p0 = PRIMES[0]
+        coeff = _newton_batch(self._traces(adj, (p0,))[0], n, p0)
+        rows, roots, mults = _roots_mod(coeff, deg, p0)
+        full = np.bincount(rows, weights=mults, minlength=b) == n
+        # primes needed per mask: every prime exceeds 2^bits, and
+        # ceil(log2 x) = (x - 1).bit_length() bounds each factor k + |r|
+        bits = min(PRIMES).bit_length() - 1
+        ceil_log2 = np.array([(x - 1).bit_length() for x in range(2 * n + 2)])
+        need = 1 + np.bincount(rows, weights=ceil_log2[deg[rows] + np.abs(roots)], minlength=b)
+        n_primes = -(-need.astype(np.int64) // bits)
+        spill = full & (n_primes > len(PRIMES))
+        walk = full & ~spill
+        integral = np.zeros(b, dtype=bool)
+        if walk.any():
+            integral[walk] = _annihilates(
+                adj, rows, roots, walk, PRIMES[: int(n_primes[walk].max())], self.identity
+            )
+        out: List[Tuple[int, Optional[Dict[int, int]]]] = [
+            (k, {} if ok else None) for k, ok in zip(deg.tolist(), integral.tolist())
+        ]
+        for i, r, m in zip(rows.tolist(), roots.tolist(), mults.tolist()):
+            spec = out[i][1]
+            if spec is not None:
+                spec[r] = m
+        spilled = np.flatnonzero(spill).tolist()
+        exact = self.split_results([masks[i] for i in spilled])
+        for i, (k, roots_i, rest) in zip(spilled, exact):
+            out[i] = (k, roots_i if rest.degree == 0 else None)
+        return out
 
     def split_results(
         self, masks: Sequence[int]
@@ -145,33 +246,23 @@ class SpectraEngine:
             return []
         coeff, primes, degrees = self._coeff_residues(masks)
         n = self.n
-        b = len(masks)
-        k_max = max(degrees, default=0)
-        p0 = primes[0]
-        cand = np.arange(-k_max, k_max + 1, dtype=np.int64)
-        cand_mod = cand % p0
-        vals = np.zeros((b, len(cand)), dtype=np.int64)
-        c0 = coeff[0]
-        for j in range(n, -1, -1):
-            vals = (vals * cand_mod[None, :] + c0[:, j, None]) % p0
-        hits = vals == 0
+        hits: List[List[int]] = [[] for _ in masks]
+        hit_rows, hit_roots = _screen(coeff[0], np.array(degrees), primes[0])
+        for bi, r in zip(hit_rows.tolist(), hit_roots.tolist()):
+            hits[bi].append(r)
         m_mod, weights = crt_context(primes)
         half = m_mod >> 1
         rows = coeff.tolist()
         t = len(primes)
         out = []
-        for bi in range(b):
-            k = degrees[bi]
+        for bi, k in enumerate(degrees):
             cs = []
             for j in range(n + 1):
                 x = sum(rows[ti][bi][j] * weights[ti] for ti in range(t)) % m_mod
                 cs.append(x - m_mod if x > half else x)
             rest = IntPolynomial.of(cs)
             roots: Dict[int, int] = {}
-            for ci in np.flatnonzero(hits[bi]):
-                r = int(cand[ci])
-                if abs(r) > k:
-                    continue
+            for r in hits[bi]:
                 while True:
                     q = divide_by_linear(rest, r)
                     if q is None:
@@ -217,17 +308,108 @@ class SpectraEngine:
         )
 
     def _float_evidence(self, mask: int) -> tuple:
-        membership = np.zeros(self.n, dtype=np.float64)
-        for x in range(self.n):
-            if mask >> x & 1:
-                membership[x] = 1.0
-        adj = membership[self.xyinv]
         try:
-            eig = np.linalg.eigvalsh(adj)
+            eig = np.linalg.eigvalsh(self._adjacency([mask])[0][0])
         except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
             return ()
         bad = [float(v) for v in eig if abs(v - round(v)) > FLOAT_EVIDENCE_TOL]
         return tuple(sorted(bad))
+
+
+def _screen(coeff: np.ndarray, degrees: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, roots): the candidates r in [-k, k] with f(r) = 0 mod p.
+
+    coeff has shape (b, n+1), column j the coefficient of x^j of each
+    row's monic f, and degrees holds each row's k.  Every integer root
+    of f is among the hits; rows ascend, and roots ascend within a row.
+    One product with a Vandermonde matrix evaluates every row at every
+    candidate, exact in int64 as in _roots_mod.
+    """
+    k_max, width = int(degrees.max()), coeff.shape[1]
+    vals = coeff @ _vandermonde(width, p)[:, width - 1 - k_max : width + k_max] % p
+    rows, ci = np.nonzero((vals == 0) & (np.abs(np.arange(-k_max, k_max + 1)) <= degrees[:, None]))
+    return rows, ci - k_max
+
+
+def _roots_mod(
+    coeff: np.ndarray, degrees: np.ndarray, p: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, roots, mults): the hits of _screen with their multiplicity mod p.
+
+    Repeated synthetic division of f by (x - r) leaves as its j-th
+    remainder the Taylor coefficient t_j = sum_i C(i, j) c_i r^(i-j),
+    and r has multiplicity m iff t_0 .. t_(m-1) vanish and t_m does not
+    (f is monic, so t_n = 1).  All remainders of all hits come from one
+    product: with u_i = c_i r^i, (u B)_j = r^j t_j for B = (C(i, j)), and
+    r^j is a unit mod p unless r = 0, where t_j = c_j.  Exact in int64:
+    n + 1 <= 65 products below p^2 < 2^56 sum below 2^63.
+    """
+    rows, roots = _screen(coeff, degrees, p)
+    binom = _binomials(coeff.shape[1], p)
+    mults = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), _HIT_BLOCK):  # blocks keep the work arrays small
+        block = slice(lo, lo + _HIT_BLOCK)
+        u, r = coeff[rows[block]], roots[block]
+        zero = r == 0
+        t_zero = u[zero]
+        power = np.ones(len(r), dtype=np.int64)
+        for i in range(1, u.shape[1]):
+            power = power * (r % p) % p
+            u[:, i] = u[:, i] * power % p
+        t = u @ binom
+        t %= p
+        t[zero] = t_zero
+        mults[block] = np.argmax(t != 0, axis=1)
+    return rows, roots, mults
+
+
+@lru_cache(maxsize=None)
+def _vandermonde(width: int, p: int) -> np.ndarray:
+    """r^j mod p at row j, column r + width - 1, for |r| < width."""
+    return np.array(
+        [[pow(r, j, p) for r in range(1 - width, width)] for j in range(width)],
+        dtype=np.int64,
+    )
+
+
+@lru_cache(maxsize=None)
+def _binomials(width: int, p: int) -> np.ndarray:
+    """C(i, j) mod p for 0 <= i, j < width."""
+    return np.array([[math.comb(i, j) % p for j in range(width)] for i in range(width)], dtype=np.int64)
+
+
+def _annihilates(
+    adj: np.ndarray,
+    rows: np.ndarray,
+    roots: np.ndarray,
+    walk: np.ndarray,
+    primes: Sequence[int],
+    identity: int,
+) -> np.ndarray:
+    """Is e^T prod_{r in T} (A - rI) zero modulo every prime, per mask in walk?
+
+    T is a mask's set of roots in (rows, roots).  All masks step together;
+    a mask outside walk, or whose T is used up, keeps its row.  Exact in
+    float64: entries stay in (-p, p), so |w A - r w| < 2 n p < 2^35.
+    """
+    b, n = adj.shape[0], adj.shape[1]
+    keep = walk[rows]
+    rows, roots = rows[keep], roots[keep]
+    pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    steps = int(pos.max()) + 1
+    shift = np.zeros((b, steps))
+    active = np.zeros((b, steps), dtype=bool)
+    shift[rows, pos] = roots
+    active[rows, pos] = True
+    pf = np.array(primes, dtype=np.float64).reshape(-1, 1, 1, 1)
+    w = np.zeros((len(primes), b, 1, n))
+    w[:, walk, 0, identity] = 1.0
+    for s in range(steps):
+        stepped = np.matmul(w, adj)
+        stepped -= shift[:, s, None, None] * w
+        np.fmod(stepped, pf, out=stepped)
+        np.copyto(w, stepped, where=active[:, s, None, None])
+    return ~w[:, walk].any(axis=(0, 2, 3))
 
 
 @lru_cache(maxsize=None)
@@ -270,14 +452,15 @@ def _newton_batch(traces: np.ndarray, n: int, p: int) -> np.ndarray:
     return coeff
 
 
-_ENGINES: dict = {}
+# Weak keys: a group's engine lives as long as the group does.  The
+# engine holds no reference back to its group, or no key would ever die.
+_ENGINES: "weakref.WeakKeyDictionary[FiniteGroup, SpectraEngine]" = weakref.WeakKeyDictionary()
 
 
 def engine_for(group: FiniteGroup) -> SpectraEngine:
-    eng = _ENGINES.get(id(group))
-    if eng is None or eng.group is not group:
-        eng = SpectraEngine(group)
-        _ENGINES[id(group)] = eng
+    eng = _ENGINES.get(group)
+    if eng is None:
+        eng = _ENGINES[group] = SpectraEngine(group)
     return eng
 
 

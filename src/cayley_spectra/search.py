@@ -14,8 +14,9 @@ Two group properties are scanned for:
                      forces the complement (plus identity) to be a
                      subgroup.
 
-Scans stream in numpy chunks through the batched char-poly engine, can
-run across several worker processes, and can checkpoint and resume.
+Scans stream in numpy chunks through the engine's batched certificate
+(SpectraEngine.certify), can run across several worker processes, and
+can checkpoint and resume.
 """
 
 from __future__ import annotations
@@ -292,13 +293,13 @@ def _scan_counters(
     cis = property_name == "cis"
     for enumerated, counters, mask_list in _chunks(family, start, end, perms):
         stats.subsets_enumerated += enumerated
-        results = engine.split_results(mask_list)
+        results = engine.certify(mask_list)
         stats.reduced_count += len(results)
-        for counter, mask, (k, roots, rest) in zip(counters, mask_list, results):
-            integral = rest.degree == 0
+        for counter, mask, (k, spectrum) in zip(counters, mask_list, results):
+            integral = spectrum is not None
             if integral:
                 stats.integral_count += 1
-                if roots.get(k, 0) == 1:  # connected
+                if spectrum.get(k, 0) == 1:  # connected
                     stats.bound_checked += 1
                     base = _factorial(2 * k - 1) if k >= 1 else 1
                     if (2 * base) % n_order:
@@ -314,26 +315,27 @@ def _scan_counters(
                 comp = full & ~mask  # subset is identity-free, so this keeps the identity
                 comp_subgroup = _is_subgroup_mask(group, comp)
                 if integral:
-                    if roots.get(k, 0) == 1 and not comp_subgroup:
+                    if spectrum.get(k, 0) == 1 and not comp_subgroup:
                         kind = "integral_noncomplement"
-                        detail = {
-                            "spectrum": {
-                                str(r): m
-                                for r, m in sorted(roots.items(), reverse=True)
-                            },
-                            "complement_with_identity": _names(group, comp),
-                        }
                 elif comp_subgroup:
                     kind = "subgroup_complement_nonintegral"
-                    detail = {"remainder_degree": rest.degree}
             elif not integral:
                 kind = "nonintegral"
-                detail = {"remainder_degree": rest.degree}
             if kind is None:
                 continue
             stats.property_violations += 1
             if witness_limit is None and any(w.kind == kind for w in witnesses):
                 continue  # counters ascend, so the first of each kind is the least
+            if integral:
+                detail = {
+                    "spectrum": {
+                        str(r): m for r, m in sorted(spectrum.items(), reverse=True)
+                    },
+                    "complement_with_identity": _names(group, comp),
+                }
+            else:
+                # the exact path, for the few masks that become witnesses
+                detail = {"remainder_degree": engine.split_results([mask])[0][2].degree}
             if kind == "nonintegral":
                 detail["float_evidence"] = [
                     round(v, 9) for v in engine._float_evidence(mask)

@@ -4,6 +4,8 @@ Heavy scans and suite runs are session-scoped so the acceptance tests
 reuse one computation instead of repeating minutes-long work.
 """
 
+import os
+
 import pytest
 
 from cayley_spectra import catalog
@@ -27,10 +29,12 @@ def suite_report():
 
 @pytest.fixture(scope="session")
 def q8z22_scan():
-    """Full reduced tally scan of the order-32 sporadic group, 4 workers."""
+    """Full reduced tally scan of the order-32 sporadic group, with up to
+    4 workers but no more than the cores this process may run on."""
     g = catalog.build_cached("Q8xZ2^2")
+    workers = min(4, len(os.sched_getaffinity(0)))
     return exhaustive_scan(
-        g, "cayley_integral", reduce_orbits=True, workers=4, witness_limit=None
+        g, "cayley_integral", reduce_orbits=True, workers=workers, witness_limit=None
     )
 
 

@@ -1,0 +1,186 @@
+"""The scan's batched certificate against the exact path and independent oracles.
+
+SpectraEngine.certify decides integrality from the char poly modulo one
+prime plus an annihilator check; split_results lifts the char poly by
+CRT and splits its integer roots.  They share only the adjacency builder
+and the trace walk, so each is an oracle for the other.  The abelian
+checks below use nothing but the multiplication table.
+"""
+
+import gc
+import math
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cayley_spectra import integrality
+from cayley_spectra.catalog import build_cached, catalog_up_to_12
+from cayley_spectra.groups import FiniteGroup
+from cayley_spectra.integrality import SpectraEngine, engine_for
+from cayley_spectra.intlinalg import PRIMES
+from cayley_spectra.search import SubsetFamily, _masks_of_counters, exhaustive_scan
+
+PREFIX = 1 << 12
+
+
+def _counter_masks(group, count):
+    family = SubsetFamily.of(group)
+    counters = np.arange(min(count, family.subset_count), dtype=np.int64)
+    return [int(m) for m in _masks_of_counters(counters, family.cell_masks())]
+
+
+def _assert_matches_exact(group, masks):
+    engine = engine_for(group)
+    for lo in range(0, len(masks), 2048):
+        chunk = masks[lo : lo + 2048]
+        for mask, (k, spectrum), (k2, roots, rest) in zip(
+            chunk, engine.certify(chunk), engine.split_results(chunk)
+        ):
+            assert k == k2
+            assert (spectrum is not None) == (rest.degree == 0), hex(mask)
+            if spectrum is not None:
+                assert spectrum == roots, hex(mask)
+
+
+@pytest.mark.parametrize("label", [expr for expr, _ in catalog_up_to_12()])
+def test_certify_matches_exact_path_order_le_12(label):
+    g = build_cached(label)
+    _assert_matches_exact(g, _counter_masks(g, SubsetFamily.of(g).subset_count))
+
+
+@pytest.mark.parametrize("label", ["D8", "SL2_3", "S4", "Z27", "Z2^5", "Q8xZ2^2"])
+def test_certify_matches_exact_path_prefix(label):
+    g = build_cached(label)
+    _assert_matches_exact(g, _counter_masks(g, PREFIX))
+
+
+@pytest.mark.parametrize("label", ["Z8", "D4", "Z12", "A4", "D6"])
+def test_annihilator_decides_integrality(label):
+    """With T every candidate in [-k, k], the annihilator check alone must
+    reject each non-integral mask: on natural inputs the mod-p0 screen
+    almost always rejects them first."""
+    g = build_cached(label)
+    engine = engine_for(g)
+    masks = _counter_masks(g, SubsetFamily.of(g).subset_count)
+    adj, degrees = engine._adjacency(masks)
+    rows = np.repeat(np.arange(len(masks)), 2 * degrees + 1)
+    roots = np.concatenate([np.arange(-k, k + 1) for k in degrees])
+    bound = max(math.prod(k + abs(r) for r in range(-k, k + 1)) for k in degrees.tolist())
+    t = next(t for t in range(1, len(PRIMES) + 1) if math.prod(PRIMES[:t]) > 2 * bound)
+    walk = np.ones(len(masks), dtype=bool)
+    got = integrality._annihilates(adj, rows, roots, walk, PRIMES[:t], g.identity)
+    want = [rest.degree == 0 for _, _, rest in engine.split_results(masks)]
+    assert got.tolist() == want
+    assert not all(want)
+
+
+# ---------------------------------------------------------------------------
+# abelian groups of order 33-64: the atom criterion
+# ---------------------------------------------------------------------------
+
+
+def _cyclic_span(g, x):
+    """The cyclic subgroup <x> as a bitmask, from the table alone."""
+    bits, y = 0, x
+    while not bits >> y & 1:
+        bits |= 1 << y
+        y = g.table[y][x]
+    return bits
+
+
+def _atoms(g):
+    """Atom of each element: {y : <y> = <x>}, as bitmasks."""
+    spans = [_cyclic_span(g, x) for x in range(g.order)]
+    return [sum(1 << y for y in range(g.order) if spans[y] == spans[x]) for x in range(g.order)]
+
+
+def _union_of_atoms(atoms, bits):
+    """Alperin-Peterson (EJC 2012): on an abelian group, Cay(G, S) is
+    integral iff S is a union of atoms."""
+    return all(bits & atoms[x] == atoms[x] for x in range(len(atoms)) if bits >> x & 1)
+
+
+@pytest.mark.parametrize("label", ["Z2^6", "Z4^3", "Z8^2", "Z3^3xZ2"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_certify_atom_criterion_orders_33_to_64(label, data):
+    g = build_cached(label)
+    atoms = _atoms(g)
+    cells = SubsetFamily.of(g).cell_masks()
+    masks = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        bits = sum(data.draw(st.sets(st.sampled_from(cells), max_size=len(cells))))
+        if data.draw(st.booleans()):  # close under atoms: integral by the criterion
+            bits = sum({atoms[x] for x in range(g.order) if bits >> x & 1})
+        masks.append(bits)
+    for bits, (k, spectrum) in zip(masks, engine_for(g).certify(masks)):
+        assert k == bits.bit_count()
+        assert (spectrum is not None) == _union_of_atoms(atoms, bits), hex(bits)
+        if spectrum is not None:  # power sums of the exact spectrum
+            assert sum(spectrum.values()) == g.order
+            assert sum(r * m for r, m in spectrum.items()) == 0
+            assert sum(r * r * m for r, m in spectrum.items()) == g.order * k
+
+
+@pytest.mark.parametrize("label", ["Z8", "Z9", "Z12", "Z6xZ2", "Z4xZ2", "Z2^3", "Z16"])
+def test_integral_count_closed_form(label):
+    """An unreduced scan of an abelian group finds 2^(c-1) integral subsets,
+    c the number of cyclic subgroups: one choice per atom but {e}."""
+    g = build_cached(label)
+    c = len({_cyclic_span(g, x) for x in range(g.order)})
+    gv = exhaustive_scan(g, "cayley_integral", reduce_orbits=False, witness_limit=None)
+    assert gv.stats.integral_count == 2 ** (c - 1)
+
+
+# ---------------------------------------------------------------------------
+# capacity: the annihilator bound past the primes falls back to the exact path
+# ---------------------------------------------------------------------------
+
+
+def _exact_certify(self, masks):
+    return [(k, roots if rest.degree == 0 else None) for k, roots, rest in self.split_results(masks)]
+
+
+def _scan_outcome(g, prop):
+    gv = exhaustive_scan(g, prop, witness_limit=None)
+    return gv.stats.to_json_dict() | {"wall_time_ms": 0}, [w.to_json_dict() for w in gv.least_witnesses]
+
+
+@pytest.mark.parametrize(
+    "label,prop",
+    [("D6", "cis"), ("D6", "cayley_integral"), ("SL2_3", "cis"), ("S3xZ3", "cayley_integral")],
+)
+def test_capacity_fallback_matches_exact_path(monkeypatch, label, prop):
+    g = build_cached(label)
+    with monkeypatch.context() as m:
+        m.setattr(SpectraEngine, "certify", _exact_certify)
+        want = _scan_outcome(g, prop)
+    # one annihilator prime: every mask whose bound 2 * prod(k + |r|) needs
+    # more than 27 bits goes through the exact path
+    monkeypatch.setattr(integrality, "PRIMES", PRIMES[:1])
+    engine = engine_for(g)
+    masks = _counter_masks(g, SubsetFamily.of(g).subset_count)
+    exact = _exact_certify(engine, masks)
+    spilled = []
+    split = SpectraEngine.split_results
+
+    def counting_split(self, masks):
+        spilled.extend(masks)
+        return split(self, masks)
+
+    with monkeypatch.context() as m:
+        m.setattr(SpectraEngine, "split_results", counting_split)
+        assert engine.certify(masks) == exact
+    assert spilled, "no mask reached the capacity fallback"
+    assert _scan_outcome(g, prop) == want
+
+
+def test_engine_cache_is_weak():
+    g = FiniteGroup(build_cached("Z8").table, label="Z8")
+    assert engine_for(g) is engine_for(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
