@@ -4,9 +4,11 @@ The default engine computes the exact characteristic polynomial of the
 adjacency matrix (modular traces + CRT against a proven coefficient
 bound) and splits off integer roots; the spectrum is integral iff the
 split is complete.  Scans use the engine's batched certificate instead
-(SpectraEngine.certify): the char poly modulo one prime, then an
-annihilator check on the identity row.  Floating point is never part of
-a certificate.
+(SpectraEngine.certify): power sums modulo one prime from a walk of at
+most min(k, n-1-k) steps, the candidate multiplicities from one Lagrange
+product, then an annihilator check on the identity row.  Its float64
+products are integer arithmetic kept exact by the bounds stated beside
+each; no rounded float ever decides a verdict.
 
 A second engine certifies through eigenspace dimensions: for each
 integer candidate t in [-k, k] it computes mult(t) = n - rank(A - tI)
@@ -28,7 +30,6 @@ import numpy as np
 from .cayley import CayleyGraph
 from .groups import FiniteGroup, is_perfect
 from .intlinalg import (
-    PRIMES,
     IntMatrix,
     IntPolynomial,
     charpoly_coeff_bound,
@@ -38,9 +39,24 @@ from .intlinalg import (
 )
 
 FLOAT_EVIDENCE_TOL = 1e-9
-# root hits per block in _roots_mod: its work arrays stay near 1 MB beside
-# the adjacency block a certificate holds
-_HIT_BLOCK = 4096
+# The power-sum walk of certify runs modulo Q, the largest prime below
+# 2^22: Q > 2k keeps the nodes -k..k distinct and Q > n pins the
+# multiplicities, and 64 Q^2 < 2^53 keeps every product exact in float64.
+WALK_PRIME = 4194301
+# The annihilator check runs modulo these, the twelve largest primes below
+# 2^45.  They need only be pairwise coprime; each carries 44 bits, twelve
+# cover the worst bound at n <= 64 (1 + 63 * 6 = 379 bits), and
+# (64 + 31) M < 2^53 keeps each step exact in float64.
+ANNIHILATOR_MODULI = (
+    35184372088777, 35184372088763, 35184372088751, 35184372088739,
+    35184372088711, 35184372088699, 35184372088693, 35184372088673,
+    35184372088639, 35184372088603, 35184372088571, 35184372088517,
+)
+# certify builds the adjacency of at most this many float64 entries at a
+# time (8 MB), and gathers at most _ANNIHILATOR_BLOCK (2 MB) per
+# annihilator block
+_ADJACENCY_BLOCK = 1 << 20
+_ANNIHILATOR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -96,13 +112,14 @@ class SpectrumVerdict:
 class SpectraEngine:
     """Per-group engine turning subset bitmasks into exact verdicts.
 
-    Two routes share one adjacency builder and one trace walk.  The scan
-    route, certify(), decides integrality for a whole batch from the char
-    poly modulo one prime plus an annihilator check on the identity row,
-    with no big integers per mask.  The exact route, split_results(),
-    lifts the char poly by CRT and splits off its integer roots; it
-    serves verdict(), witness detail, and the capacity fallback of
-    certify().
+    Two routes share only the adjacency builder.  The scan route,
+    certify(), decides integrality for a whole batch from power sums
+    modulo one prime, the multiplicities they pin, and an annihilator
+    check on the identity row, with no char poly and no big integers per
+    mask.  The exact route, split_results(), walks traces modulo several
+    primes, lifts the char poly by CRT and splits off its integer roots;
+    it serves verdict(), witness detail, and the capacity fallback of
+    certify(), and the tests use each route as the other's oracle.
 
     Traces come from the identity row alone: right translations are
     automorphisms acting transitively, so every power of A has constant
@@ -174,64 +191,148 @@ class SpectraEngine:
         return coeff, primes, degrees
 
     def certify(self, masks: Sequence[int]) -> List[Tuple[int, Optional[Dict[int, int]]]]:
-        """(degree, exact spectrum, or None when non-integral) per mask.
+        """(degree, exact spectrum, or None when non-integral) per mask, in input order.
 
-        1. Char poly mod p0 = PRIMES[0] only (one trace walk, one Newton).
-        2. Multiplicities mod p0 of the candidates r in [-k, k], which hold
-           every eigenvalue of a k-regular graph and stay distinct mod p0
-           because p0 > 2k.  A root of multiplicity m over Z is one of
-           multiplicity >= m mod p0, so mod-p0 multiplicities only
-           over-count: if they sum to less than n, the spectrum is
-           certified non-integral.
-        3. Otherwise let T be the candidates found and check
-           e^T prod_{r in T} (A - rI) = 0 over Z.  A is the regular
-           representation of a = sum(S) in Z[G], and so is the product; the
-           e-row of the matrix of z in Z[G] lists z's coefficients (entry y
-           is z_(y^-1)), so a zero e-row means z = 0 and the check decides
-           prod (A - rI) = 0.
-           For symmetric A that holds iff every eigenvalue lies in T:
-           integral spectra pass (T contains each eigenvalue) and others
-           fail.  The e-row has l1 norm at most B = prod (k + |r|), so a
-           zero residue modulo primes whose product exceeds 2B is a zero
-           over Z.  A mask whose B outruns the CRT primes goes through the
-           exact path instead: capacity never decides a verdict.
-        4. For an integral spectrum char(A) = prod (x - r)^m(r) over Z, and
-           the candidates are distinct mod p0, so the mod-p0 multiplicities
-           are the exact spectrum.
+        Each S is inverse-closed and misses the identity, as every scanned
+        subset does.  Every stage is an exact float64 product: no char
+        poly, no Newton, no big integer per mask.
+
+        1. Complement.  If 2k > n - 1, certify S' = G - (S + {e}) of degree
+           k' = n - 1 - k <= (n - 1)/2 instead.  A + A' = J - I and both
+           commute with J, so spec(A) = {k} + {-1 - l : l in spec(A') less
+           one copy of k'}, and S is integral iff S' is.  Below, k is the
+           degree certified, so k <= 31 for n <= 64.
+        2. Power sums (_power_sums).  With v_j = e^T A^j mod Q, Q =
+           WALK_PRIME, for j <= k, P_(a+b) = tr(A^(a+b)) = n v_a . v_b
+           gives P_0 .. P_2k (A is symmetric, and right translations act
+           transitively by automorphisms, so A^j has constant diagonal).
+        3. Multiplicities.  An integral spectrum lies in [-k, k] (A is
+           k-regular), and its multiplicities m solve the Vandermonde
+           system sum_r m_r r^j = P_j, j = 0..2k, over Z.  Q > 2k makes
+           it invertible mod Q, so m = P W_k mod Q (_lagrange), and Q > n
+           pins each residue to the true multiplicity: a residue above n
+           certifies non-integral.
+        4. Annihilator (_annihilates).  Otherwise let T = {r : m_r > 0} and
+           check e^T prod_{r in T} (A - rI) = 0 over Z.  A is the regular
+           representation of a = sum(S) in Z[G], and so is the product;
+           the e-row of the matrix of z in Z[G] lists z's coefficients
+           (entry y is z_(y^-1)), so a zero e-row means a zero product.
+           For symmetric A that holds iff every eigenvalue lies in T: an
+           integral spectrum passes (by 3, T is its support) and any other
+           fails.  The e-row has l1 norm at most B = prod (k + |r|), so a
+           zero residue modulo moduli whose product exceeds 2B is a zero
+           over Z.  A mask whose B outruns ANNIHILATOR_MODULI goes through
+           the exact path instead: capacity never decides a verdict.
+        5. A mask that passes has its spectrum in T, so its multiplicities
+           solve the system of 3 over Z and the residues m are exact.
+
+        The batch is sorted by k, descending, so the masks still stepping
+        at any stage form a prefix, and certified in slices whose adjacency
+        holds at most _ADJACENCY_BLOCK floats.
         """
         if not masks:
             return []
         n, b = self.n, len(masks)
-        adj, deg = self._adjacency(masks)
-        p0 = PRIMES[0]
-        coeff = _newton_batch(self._traces(adj, (p0,))[0], n, p0)
-        rows, roots, mults = _roots_mod(coeff, deg, p0)
-        full = np.bincount(rows, weights=mults, minlength=b) == n
-        # primes needed per mask: every prime exceeds 2^bits, and
-        # ceil(log2 x) = (x - 1).bit_length() bounds each factor k + |r|
-        bits = min(PRIMES).bit_length() - 1
-        ceil_log2 = np.array([(x - 1).bit_length() for x in range(2 * n + 2)])
-        need = 1 + np.bincount(rows, weights=ceil_log2[deg[rows] + np.abs(roots)], minlength=b)
-        n_primes = -(-need.astype(np.int64) // bits)
-        spill = full & (n_primes > len(PRIMES))
-        walk = full & ~spill
-        integral = np.zeros(b, dtype=bool)
-        if walk.any():
-            integral[walk] = _annihilates(
-                adj, rows, roots, walk, PRIMES[: int(n_primes[walk].max())], self.identity
-            )
-        out: List[Tuple[int, Optional[Dict[int, int]]]] = [
-            (k, {} if ok else None) for k, ok in zip(deg.tolist(), integral.tolist())
-        ]
-        for i, r, m in zip(rows.tolist(), roots.tolist(), mults.tolist()):
-            spec = out[i][1]
-            if spec is not None:
-                spec[r] = m
-        spilled = np.flatnonzero(spill).tolist()
+        others = ((1 << n) - 1) ^ (1 << self.identity)
+        degree = [int(m).bit_count() for m in masks]
+        flip = [2 * k > n - 1 for k in degree]
+        order = np.argsort([k + 1 - n if f else -k for k, f in zip(degree, flip)], kind="stable")
+        order_list = order.tolist()
+        reduced = [masks[i] ^ others if flip[i] else masks[i] for i in order_list]
+        step = max(1, _ADJACENCY_BLOCK // (n * n))
+        parts = [self._certify_sorted(reduced[lo : lo + step], lo) for lo in range(0, b, step)]
+        rows, roots, mults, k, integral, spill = (np.concatenate(x) for x in zip(*parts))
+        # undo step 1 on complemented masks: -1 - r for each r, one k' dropped, k added
+        flipped = np.array(flip)[order]
+        f = flipped[rows]
+        mults -= f & (roots == k[rows])
+        roots[f] = -1 - roots[f]
+        top = np.flatnonzero(flipped & integral)
+        rows = np.concatenate([rows, top])
+        roots = np.concatenate([roots, n - 1 - k[top]])
+        mults = np.concatenate([mults, np.ones(len(top), dtype=np.int64)])
+        spectra: Dict[int, Dict[int, int]] = {s: {} for s in np.flatnonzero(integral).tolist()}
+        for s, r, m in zip(rows.tolist(), roots.tolist(), mults.tolist()):
+            if m:
+                spectra[s][r] = m
+        out: List[Tuple[int, Optional[Dict[int, int]]]] = [(k_i, None) for k_i in degree]
+        for s, spec in spectra.items():
+            i = order_list[s]
+            out[i] = (degree[i], spec)
+        spilled = order[spill].tolist()
         exact = self.split_results([masks[i] for i in spilled])
-        for i, (k, roots_i, rest) in zip(spilled, exact):
-            out[i] = (k, roots_i if rest.degree == 0 else None)
+        for i, (k_i, roots_i, rest) in zip(spilled, exact):
+            out[i] = (k_i, roots_i if rest.degree == 0 else None)
         return out
+
+    def _certify_sorted(self, masks: Sequence[int], offset: int) -> tuple:
+        """Steps 2-4 of certify on masks of degree <= (n-1)/2 sorted by degree, descending.
+
+        Returns (rows, roots, mults, k, integral, spill): the spectrum of
+        each integral mask as (row + offset, eigenvalue, multiplicity)
+        triples, the degrees, and per mask whether it is certified
+        integral or must go through the exact path.
+        """
+        n, b, q = self.n, len(masks), float(WALK_PRIME)
+        adj, k = self._adjacency(masks)
+        power = self._power_sums(adj, k)
+        rows, roots, mults = [], [], []
+        cuts = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), b]
+        for lo, hi in zip(cuts, cuts[1:]):  # one Lagrange product per degree
+            kg = int(k[lo])
+            m = power[lo:hi, : 2 * kg + 1] @ _lagrange(kg)  # below 63 Q^2 < 2^50
+            _reduce(m, q, np.empty_like(m))
+            m[m < 0] += q
+            m[(m > n).any(axis=1)] = 0.0  # certified non-integral
+            r, c = np.nonzero(m)
+            rows.append(r + lo)
+            roots.append(c - kg)
+            mults.append(m[r, c].astype(np.int64))
+        rows, roots, mults = (np.concatenate(x) for x in (rows, roots, mults))
+        # moduli needed per mask: each exceeds 2^usable, and
+        # ceil(log2 x) = (x - 1).bit_length() bounds each factor k + |r|
+        usable = min(ANNIHILATOR_MODULI).bit_length() - 1
+        ceil_log2 = np.array([(x - 1).bit_length() for x in range(2 * n)])
+        bits = 1 + np.bincount(rows, weights=ceil_log2[k[rows] + np.abs(roots)], minlength=b)
+        need = -(-bits.astype(np.int64) // usable)
+        need[np.bincount(rows, minlength=b) == 0] = 0
+        spill = need > len(ANNIHILATOR_MODULI)
+        need[spill] = 0
+        walk = need[rows] > 0
+        integral = _annihilates(adj, rows[walk], roots[walk], need, ANNIHILATOR_MODULI, self.identity)
+        keep = integral[rows]
+        return rows[keep] + offset, roots[keep], mults[keep], k, integral, spill
+
+    def _power_sums(self, adj: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """P[b, j] = tr(A_b^j) mod WALK_PRIME for j <= 2 k[b], float64 in (-Q, Q).
+
+        k must descend.  Step j computes v_j = A v_(j-1) (A is symmetric)
+        for the prefix of masks with k >= j, into one of two buffers, and
+        P_(2j-1), P_2j from v_(j-1) . v_j and v_j . v_j.  Exact in float64:
+        _reduce keeps entries of v below Q < 2^22 in magnitude and A is
+        0/1, so matvec sums stay below n Q < 2^28 and dot products below
+        n Q^2 < 2^50.
+        """
+        n, b, q = self.n, adj.shape[0], float(WALK_PRIME)
+        k_max = int(k[0])
+        diag = np.zeros((b, 2 * k_max + 1))  # diag[:, j] = (A^j)[e, e]
+        diag[:, 0] = 1.0
+        prev = np.zeros((b, n, 1))
+        prev[:, self.identity] = 1.0
+        cur, scratch = np.empty_like(prev), np.empty_like(prev)
+        stepping = np.searchsorted(-k, -np.arange(k_max + 1), side="right")
+        for j in range(1, k_max + 1):
+            c = stepping[j]
+            v, w = prev[:c], cur[:c]
+            np.matmul(adj[:c], v, out=w)
+            _reduce(w, q, scratch[:c])
+            diag[:c, 2 * j - 1] = np.einsum("bik,bik->b", v, w)
+            diag[:c, 2 * j] = np.einsum("bik,bik->b", w, w)
+            prev, cur = cur, prev
+        spare = np.empty_like(diag)
+        _reduce(diag, q, spare)
+        diag *= n
+        return _reduce(diag, q, spare)
 
     def split_results(
         self, masks: Sequence[int]
@@ -323,44 +424,13 @@ def _screen(coeff: np.ndarray, degrees: np.ndarray, p: int) -> Tuple[np.ndarray,
     row's monic f, and degrees holds each row's k.  Every integer root
     of f is among the hits; rows ascend, and roots ascend within a row.
     One product with a Vandermonde matrix evaluates every row at every
-    candidate, exact in int64 as in _roots_mod.
+    candidate, exact in int64: n + 1 <= 65 products below p^2 < 2^56 sum
+    below 2^63.
     """
     k_max, width = int(degrees.max()), coeff.shape[1]
     vals = coeff @ _vandermonde(width, p)[:, width - 1 - k_max : width + k_max] % p
     rows, ci = np.nonzero((vals == 0) & (np.abs(np.arange(-k_max, k_max + 1)) <= degrees[:, None]))
     return rows, ci - k_max
-
-
-def _roots_mod(
-    coeff: np.ndarray, degrees: np.ndarray, p: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, roots, mults): the hits of _screen with their multiplicity mod p.
-
-    Repeated synthetic division of f by (x - r) leaves as its j-th
-    remainder the Taylor coefficient t_j = sum_i C(i, j) c_i r^(i-j),
-    and r has multiplicity m iff t_0 .. t_(m-1) vanish and t_m does not
-    (f is monic, so t_n = 1).  All remainders of all hits come from one
-    product: with u_i = c_i r^i, (u B)_j = r^j t_j for B = (C(i, j)), and
-    r^j is a unit mod p unless r = 0, where t_j = c_j.  Exact in int64:
-    n + 1 <= 65 products below p^2 < 2^56 sum below 2^63.
-    """
-    rows, roots = _screen(coeff, degrees, p)
-    binom = _binomials(coeff.shape[1], p)
-    mults = np.empty(len(rows), dtype=np.int64)
-    for lo in range(0, len(rows), _HIT_BLOCK):  # blocks keep the work arrays small
-        block = slice(lo, lo + _HIT_BLOCK)
-        u, r = coeff[rows[block]], roots[block]
-        zero = r == 0
-        t_zero = u[zero]
-        power = np.ones(len(r), dtype=np.int64)
-        for i in range(1, u.shape[1]):
-            power = power * (r % p) % p
-            u[:, i] = u[:, i] * power % p
-        t = u @ binom
-        t %= p
-        t[zero] = t_zero
-        mults[block] = np.argmax(t != 0, axis=1)
-    return rows, roots, mults
 
 
 @lru_cache(maxsize=None)
@@ -373,43 +443,97 @@ def _vandermonde(width: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _binomials(width: int, p: int) -> np.ndarray:
-    """C(i, j) mod p for 0 <= i, j < width."""
-    return np.array([[math.comb(i, j) % p for j in range(width)] for i in range(width)], dtype=np.int64)
+def _lagrange(k: int) -> np.ndarray:
+    """W_k[j, i] = [x^j] L_i(x) mod WALK_PRIME, float64, (2k+1, 2k+1).
+
+    L_i is the Lagrange basis polynomial of node r_i = i - k on the nodes
+    -k..k, so with V_k[i, j] = r_i^j, W_k V_k = I mod Q, and P = m V_k
+    gives m = P W_k.  Entries are below Q, so a row of power sums below Q
+    times W_k sums at most 2k + 1 <= 63 products below Q^2: under 2^50.
+    """
+    q, d = WALK_PRIME, 2 * k + 1
+    nodes = range(-k, k + 1)
+    master = [1]  # prod (x - s) over all nodes, low degree first
+    for s in nodes:
+        master = [(a - s * c) % q for a, c in zip([0, *master], [*master, 0])]
+    w = np.empty((d, d))
+    for i, r in enumerate(nodes):
+        poly, acc = [0] * d, 0  # master / (x - r), by synthetic division
+        for j in range(d, 0, -1):
+            acc = (master[j] + r * acc) % q
+            poly[j - 1] = acc
+        inv = pow(math.prod(r - s for s in nodes if s != r) % q, -1, q)
+        w[:, i] = [c * inv % q for c in poly]
+    w.setflags(write=False)  # shared by every caller through the cache
+    return w
+
+
+def _reduce(x: np.ndarray, m, scratch: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x - m * rint(x / m) into out (default x): an integer residue of x in (-m, m).
+
+    m is a float or an array broadcasting against x, and scratch is x's
+    shape.  Exact for integers x, m with |x| + m < 2^53 and |x| / m < 2^49:
+    np.divide rounds x / m once, to within 2^-4, so rint lands within
+    1/2 + 2^-4 of x / m; m * rint(x / m) is then an integer below |x| + m
+    in magnitude, and the difference is below m.  Unlike np.fmod, it costs
+    the same for every quotient.
+    """
+    np.divide(x, m, out=scratch)
+    np.rint(scratch, out=scratch)
+    scratch *= m
+    return np.subtract(x, scratch, out=x if out is None else out)
 
 
 def _annihilates(
     adj: np.ndarray,
     rows: np.ndarray,
     roots: np.ndarray,
-    walk: np.ndarray,
-    primes: Sequence[int],
+    need: np.ndarray,
+    moduli: Sequence[int],
     identity: int,
 ) -> np.ndarray:
-    """Is e^T prod_{r in T} (A - rI) zero modulo every prime, per mask in walk?
+    """Is e^T prod_{r in T} (A - rI) zero modulo moduli[:need[b]], per row b of adj?
 
-    T is a mask's set of roots in (rows, roots).  All masks step together;
-    a mask outside walk, or whose T is used up, keeps its row.  Exact in
-    float64: entries stay in (-p, p), so |w A - r w| < 2 n p < 2^35.
+    T is mask b's set of roots in (rows, roots), rows ascending; a mask
+    that rows does not list gets False.  Each (mask, modulus) pair walks
+    its own vector (A - rI) w, A symmetric.  Pairs are sorted by |T|,
+    descending, so at step s the pairs with |T| > s are a prefix, and they
+    run in blocks whose gathered adjacency holds _ANNIHILATOR_BLOCK floats.
+    Exact in float64: _reduce keeps entries of w in (-M, M) and A is 0/1,
+    so |A w - r w| < (n + k) M < 2^53; a residue in (-M, M) is zero mod M
+    only if it is 0.
     """
     b, n = adj.shape[0], adj.shape[1]
-    keep = walk[rows]
-    rows, roots = rows[keep], roots[keep]
+    if not len(rows):
+        return np.zeros(b, dtype=bool)
+    size = np.bincount(rows, minlength=b)
     pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    steps = int(pos.max()) + 1
-    shift = np.zeros((b, steps))
-    active = np.zeros((b, steps), dtype=bool)
+    shift = np.zeros((b, int(size.max())))
     shift[rows, pos] = roots
-    active[rows, pos] = True
-    pf = np.array(primes, dtype=np.float64).reshape(-1, 1, 1, 1)
-    w = np.zeros((len(primes), b, 1, n))
-    w[:, walk, 0, identity] = 1.0
-    for s in range(steps):
-        stepped = np.matmul(w, adj)
-        stepped -= shift[:, s, None, None] * w
-        np.fmod(stepped, pf, out=stepped)
-        np.copyto(w, stepped, where=active[:, s, None, None])
-    return ~w[:, walk].any(axis=(0, 2, 3))
+    count = np.where(size > 0, need, 0)
+    pair = np.repeat(np.arange(b), count)
+    which = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    by_size = np.argsort(-size[pair], kind="stable")
+    pair = pair[by_size]
+    modulus = np.asarray(moduli, dtype=np.float64)[which[by_size]]
+    steps = size[pair]
+    zero = np.empty(len(pair), dtype=bool)
+    block = max(1, _ANNIHILATOR_BLOCK // (n * n))
+    w = np.empty((min(block, len(pair)), n, 1))
+    stepped, scratch = np.empty_like(w), np.empty_like(w)
+    for lo in range(0, len(pair), block):
+        sel = slice(lo, lo + block)
+        a, sh, mod, st = adj[pair[sel]], shift[pair[sel]], modulus[sel, None, None], steps[sel]
+        h = len(st)
+        w[:h] = 0.0
+        w[:h, identity] = 1.0
+        for s, c in enumerate(np.searchsorted(-st, -np.arange(int(st[0])), side="left").tolist()):
+            np.matmul(a[:c], w[:c], out=stepped[:c])
+            np.multiply(w[:c], sh[:c, s, None, None], out=scratch[:c])
+            stepped[:c] -= scratch[:c]
+            _reduce(stepped[:c], mod[:c], scratch[:c], out=w[:c])
+        zero[lo : lo + h] = ~w[:h].any(axis=(1, 2))
+    return (size > 0) & (np.bincount(pair[zero], minlength=b) == count)
 
 
 @lru_cache(maxsize=None)

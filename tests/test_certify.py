@@ -1,10 +1,13 @@
 """The scan's batched certificate against the exact path and independent oracles.
 
-SpectraEngine.certify decides integrality from the char poly modulo one
-prime plus an annihilator check; split_results lifts the char poly by
-CRT and splits its integer roots.  They share only the adjacency builder
-and the trace walk, so each is an oracle for the other.  The abelian
-checks below use nothing but the multiplication table.
+SpectraEngine.certify decides integrality from power sums: a walk of at
+most min(k, n-1-k) steps modulo one prime, multiplicities from one
+Lagrange product, then an annihilator check on the identity row.
+split_results lifts the char poly by CRT and splits its integer roots.
+They share only the adjacency builder, so each is an oracle for the
+other.  The abelian checks and the closed forms below use nothing but
+the multiplication table; the arithmetic tests pin the bounds that keep
+certify's float64 products exact.
 """
 
 import gc
@@ -17,17 +20,19 @@ from hypothesis import given, settings, strategies as st
 
 from cayley_spectra import integrality
 from cayley_spectra.catalog import build_cached, catalog_up_to_12
-from cayley_spectra.groups import FiniteGroup
-from cayley_spectra.integrality import SpectraEngine, engine_for
-from cayley_spectra.intlinalg import PRIMES
+from cayley_spectra.groups import FiniteGroup, derived_subgroup
+from cayley_spectra.integrality import ANNIHILATOR_MODULI, WALK_PRIME, SpectraEngine, engine_for
 from cayley_spectra.search import SubsetFamily, _masks_of_counters, exhaustive_scan
 
 PREFIX = 1 << 12
 
 
-def _counter_masks(group, count):
+def _counter_masks(group, count, last=False):
+    """Masks of the first (or, with last, the last) count counters."""
     family = SubsetFamily.of(group)
-    counters = np.arange(min(count, family.subset_count), dtype=np.int64)
+    total = family.subset_count
+    start = max(0, total - count) if last else 0
+    counters = np.arange(start, min(start + count, total), dtype=np.int64)
     return [int(m) for m in _masks_of_counters(counters, family.cell_masks())]
 
 
@@ -56,11 +61,36 @@ def test_certify_matches_exact_path_prefix(label):
     _assert_matches_exact(g, _counter_masks(g, PREFIX))
 
 
+@pytest.mark.parametrize("label", ["D8", "SL2_3", "S4", "Z27", "Z2^5", "Q8xZ2^2"])
+def test_certify_matches_exact_path_suffix(label):
+    """The last counters hold the dense subsets, 2k > n - 1, which
+    certify reaches through the complement; the prefix rarely does."""
+    g = build_cached(label)
+    masks = _counter_masks(g, PREFIX, last=True)
+    assert any(2 * m.bit_count() > g.order - 1 for m in masks)
+    _assert_matches_exact(g, masks)
+
+
+@pytest.mark.parametrize("label", ["S4", "D6", "Q8xZ2^2"])
+def test_closed_forms_on_derived_subgroup(label):
+    """S = G - H is complete multipartite; S = H - {e} is n/|H| disjoint
+    cliques.  The first is certified through its complement, the second,
+    which is disconnected, so the complement map drops one copy of k'."""
+    g = build_cached(label)
+    h = derived_subgroup(g).bits
+    n, size = g.order, h.bit_count()
+    assert 1 < size < n
+    outside, inside = ((1 << n) - 1) ^ h, h ^ (1 << g.identity)
+    got = engine_for(g).certify([outside, inside])
+    assert got[0] == (n - size, {n - size: 1, 0: n - n // size, -size: n // size - 1})
+    assert got[1] == (size - 1, {size - 1: n // size, -1: n - n // size})
+
+
 @pytest.mark.parametrize("label", ["Z8", "D4", "Z12", "A4", "D6"])
 def test_annihilator_decides_integrality(label):
     """With T every candidate in [-k, k], the annihilator check alone must
-    reject each non-integral mask: on natural inputs the mod-p0 screen
-    almost always rejects them first."""
+    reject each non-integral mask: on natural inputs the multiplicity
+    filter almost always rejects them first."""
     g = build_cached(label)
     engine = engine_for(g)
     masks = _counter_masks(g, SubsetFamily.of(g).subset_count)
@@ -68,12 +98,73 @@ def test_annihilator_decides_integrality(label):
     rows = np.repeat(np.arange(len(masks)), 2 * degrees + 1)
     roots = np.concatenate([np.arange(-k, k + 1) for k in degrees])
     bound = max(math.prod(k + abs(r) for r in range(-k, k + 1)) for k in degrees.tolist())
-    t = next(t for t in range(1, len(PRIMES) + 1) if math.prod(PRIMES[:t]) > 2 * bound)
-    walk = np.ones(len(masks), dtype=bool)
-    got = integrality._annihilates(adj, rows, roots, walk, PRIMES[:t], g.identity)
+    t = next(
+        t for t in range(1, len(ANNIHILATOR_MODULI) + 1)
+        if math.prod(ANNIHILATOR_MODULI[:t]) > 2 * bound
+    )
+    need = np.full(len(masks), t)
+    got = integrality._annihilates(adj, rows, roots, need, ANNIHILATOR_MODULI, g.identity)
     want = [rest.degree == 0 for _, _, rest in engine.split_results(masks)]
     assert got.tolist() == want
     assert not all(want)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic: the bounds certify's float64 products rely on
+# ---------------------------------------------------------------------------
+
+
+def _is_prime(m):
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+def test_lagrange_inverts_vandermonde():
+    q = WALK_PRIME
+    assert _is_prime(q) and q > 2 * 31 and q > 64
+    for k in range(32):
+        w = [[int(x) for x in row] for row in integrality._lagrange(k)]
+        v = [[pow(r, j, q) for j in range(2 * k + 1)] for r in range(-k, k + 1)]
+        prod = [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*v)] for row in w]
+        assert prod == [[int(i == j) for j in range(2 * k + 1)] for i in range(2 * k + 1)], k
+
+
+def test_float64_exactness_bounds():
+    q = WALK_PRIME
+    assert 64 * q * q < 2**53  # walk: dot products of reduced vectors
+    assert 63 * q * q < 2**53  # multiplicities: P W_k over at most 63 terms
+    for m in ANNIHILATOR_MODULI:
+        assert (64 + 31) * m < 2**53  # annihilator: |A w - r w| at n = 64, k <= 31
+
+
+def test_annihilator_moduli_coprime_and_cover():
+    moduli = ANNIHILATOR_MODULI
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :])
+    usable = min(moduli).bit_length() - 1
+    assert all(m > 2**usable for m in moduli)
+    # worst bound at n <= 64: k' <= 31 and T = [-31, 31], so each factor
+    # k' + |r| is at most 62 and takes at most 6 bits
+    worst = 1 + sum((31 + abs(r) - 1).bit_length() for r in range(-31, 32))
+    assert worst <= 1 + 63 * 6 == 379
+    assert usable * len(moduli) >= 379
+
+
+@pytest.mark.parametrize(
+    "m,top",
+    [(WALK_PRIME, 64 * WALK_PRIME), *((m, 95) for m in ANNIHILATOR_MODULI[:3]), (1021, 95)],
+)
+def test_reduce_is_exact_residue(m, top):
+    """_reduce returns an exact residue in (-m, m) next to multiples of m,
+    where the rounded quotient could slip: every quotient up to 4096 and a
+    seeded sample up to top, the largest quotient certify reaches (the
+    walk's dot products stay below 64 Q^2, the annihilator's steps below
+    95 M)."""
+    rng = np.random.default_rng(0)
+    small = min(top, 4096)
+    quot = np.concatenate([np.arange(-small, small + 1), rng.integers(-top, top + 1, 4096), [-top, top]])
+    x = np.concatenate([quot * float(m) + d for d in (-1.0, 0.0, 1.0, m // 2, -(m // 2))])
+    got = integrality._reduce(x.copy(), float(m), np.empty_like(x))
+    assert np.all(np.abs(got) < m)
+    assert [int(v) % m for v in got.tolist()] == [int(v) % m for v in x.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +248,10 @@ def test_capacity_fallback_matches_exact_path(monkeypatch, label, prop):
     with monkeypatch.context() as m:
         m.setattr(SpectraEngine, "certify", _exact_certify)
         want = _scan_outcome(g, prop)
-    # one annihilator prime: every mask whose bound 2 * prod(k + |r|) needs
-    # more than 27 bits goes through the exact path
-    monkeypatch.setattr(integrality, "PRIMES", PRIMES[:1])
+    # two 10-bit annihilator moduli: every mask whose bound 2 * prod(k + |r|)
+    # needs more than 18 bits goes through the exact path, and masks that
+    # need 10 to 18 bits use both moduli
+    monkeypatch.setattr(integrality, "ANNIHILATOR_MODULI", (1021, 1019))
     engine = engine_for(g)
     masks = _counter_masks(g, SubsetFamily.of(g).subset_count)
     exact = _exact_certify(engine, masks)
