@@ -68,11 +68,6 @@ def homocyclic(m: int, k: int) -> FiniteGroup:
     return FiniteGroup(table, [_vector_name(v) for v in vecs], label=label)
 
 
-def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    """E(p, k) = (Z_p)^k."""
-    return homocyclic(p, k)
-
-
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n, presented as <x, y | x^2 = y^n = 1, x y x = y^-1>.
 

@@ -27,14 +27,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cayley import CayleyGraph
+from .cayley import CayleyGraph, SymmetricSubset
 from .groups import FiniteGroup, is_perfect
 from .intlinalg import (
     IntMatrix,
     IntPolynomial,
+    _newton_batch,
     charpoly_coeff_bound,
-    crt_context,
-    divide_by_linear,
+    crt_lift,
+    integer_root_split,
     primes_for_bound,
 )
 
@@ -117,8 +118,9 @@ class SpectraEngine:
     modulo one prime, the multiplicities they pin, and an annihilator
     check on the identity row, with no char poly and no big integers per
     mask.  The exact route, split_results(), walks traces modulo several
-    primes, lifts the char poly by CRT and splits off its integer roots;
-    it serves verdict(), witness detail, and the capacity fallback of
+    primes and hands them to intlinalg's char-poly pipeline (Newton, CRT
+    lift, integer-root split), the one IntMatrix.char_poly uses; it
+    serves verdict(), witness detail, and the capacity fallback of
     certify(), and the tests use each route as the other's oracle.
 
     Traces come from the identity row alone: right translations are
@@ -185,9 +187,7 @@ class SpectraEngine:
         degrees = deg.tolist()
         primes = _primes_for_degree(self.n, max(degrees, default=0))
         traces = self._traces(adj, primes)
-        coeff = np.empty((len(primes), len(masks), self.n + 1), dtype=np.int64)
-        for ti, p in enumerate(primes):
-            coeff[ti] = _newton_batch(traces[ti], self.n, p)
+        coeff = np.stack([_newton_batch(t, self.n, p) for t, p in zip(traces, primes)])
         return coeff, primes, degrees
 
     def certify(self, masks: Sequence[int]) -> List[Tuple[int, Optional[Dict[int, int]]]]:
@@ -339,39 +339,22 @@ class SpectraEngine:
     ) -> List[Tuple[int, Dict[int, int], IntPolynomial]]:
         """(degree, integer roots with multiplicity, remainder) per mask.
 
-        Integer-root candidates are screened in bulk modulo the first
-        prime; survivors are confirmed or rejected by exact synthetic
-        division, so the output matches the plain split exactly.
+        _coeff_residues (trace walk, _newton_batch), crt_lift, then
+        integer_root_split on the candidates _screen finds to be roots
+        modulo the first prime: intlinalg's pipeline, as in
+        IntMatrix.char_poly.  Every integer root is a candidate.
         """
         if not masks:
             return []
         coeff, primes, degrees = self._coeff_residues(masks)
-        n = self.n
         hits: List[List[int]] = [[] for _ in masks]
         hit_rows, hit_roots = _screen(coeff[0], np.array(degrees), primes[0])
         for bi, r in zip(hit_rows.tolist(), hit_roots.tolist()):
             hits[bi].append(r)
-        m_mod, weights = crt_context(primes)
-        half = m_mod >> 1
-        rows = coeff.tolist()
-        t = len(primes)
-        out = []
-        for bi, k in enumerate(degrees):
-            cs = []
-            for j in range(n + 1):
-                x = sum(rows[ti][bi][j] * weights[ti] for ti in range(t)) % m_mod
-                cs.append(x - m_mod if x > half else x)
-            rest = IntPolynomial.of(cs)
-            roots: Dict[int, int] = {}
-            for r in hits[bi]:
-                while True:
-                    q = divide_by_linear(rest, r)
-                    if q is None:
-                        break
-                    roots[r] = roots.get(r, 0) + 1
-                    rest = q
-            out.append((k, roots, rest))
-        return out
+        return [
+            (k, *integer_root_split(chi, h))
+            for k, chi, h in zip(degrees, crt_lift(coeff, primes), hits)
+        ]
 
     def verdicts(self, masks: Sequence[int]) -> List[SpectrumVerdict]:
         out = []
@@ -542,40 +525,6 @@ def _primes_for_degree(n: int, k: int) -> tuple:
     return primes_for_bound(charpoly_coeff_bound(n, [k] * n))
 
 
-def _newton_batch(traces: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Char-poly coefficients mod p for a whole batch of trace rows.
-
-    traces has shape (b, n) holding tr(A^1..A^n) mod p per matrix; the
-    result has shape (b, n+1) with column j the coefficient of x^j in
-    det(xI - A) mod p.  Newton's identities need division by 1..n, hence
-    the primes all exceed the largest supported order.
-    """
-    b = traces.shape[0]
-    inv = np.empty(n + 1, dtype=np.int64)
-    inv[0] = 1
-    for m in range(1, n + 1):
-        inv[m] = pow(m, p - 2, p)
-    e = np.zeros((b, n + 1), dtype=np.int64)
-    e[:, 0] = 1
-    acc = np.zeros(b, dtype=np.int64)
-    for m in range(1, n + 1):
-        acc[:] = 0
-        sgn = 1
-        for i in range(1, m + 1):
-            term = e[:, m - i] * traces[:, i - 1] % p
-            if sgn > 0:
-                acc += term
-            else:
-                acc += p - term
-            sgn = -sgn
-        e[:, m] = acc % p * inv[m] % p
-    coeff = np.empty((b, n + 1), dtype=np.int64)
-    for m in range(n + 1):
-        col = e[:, m] if m % 2 == 0 else (p - e[:, m]) % p
-        coeff[:, n - m] = col
-    return coeff
-
-
 # Weak keys: a group's engine lives as long as the group does.  The
 # engine holds no reference back to its group, or no key would ever die.
 _ENGINES: "weakref.WeakKeyDictionary[FiniteGroup, SpectraEngine]" = weakref.WeakKeyDictionary()
@@ -595,11 +544,7 @@ def engine_for(group: FiniteGroup) -> SpectraEngine:
 
 def verdict(c: CayleyGraph, method: str = "charpoly") -> SpectrumVerdict:
     """Certified integrality verdict for one Cayley graph."""
-    if method == "charpoly":
-        return engine_for(c.group).verdicts([c.subset.bits])[0]
-    if method == "rank":
-        return _verdict_by_ranks(c)
-    raise ValueError(f"unknown verdict method {method!r}")
+    return spectrum_of_subset_list(c.group, [c.subset], method)[0]
 
 
 def spectrum_of_subset_list(
@@ -609,11 +554,11 @@ def spectrum_of_subset_list(
     masks = [s.bits if hasattr(s, "bits") else int(s) for s in subsets]
     if method == "charpoly":
         return engine_for(group).verdicts(masks)
-    from .cayley import SymmetricSubset
-
-    return [
-        _verdict_by_ranks(CayleyGraph(group, SymmetricSubset(group, m))) for m in masks
-    ]
+    if method == "rank":
+        return [
+            _verdict_by_ranks(CayleyGraph(group, SymmetricSubset(group, m))) for m in masks
+        ]
+    raise ValueError(f"unknown verdict method {method!r}")
 
 
 def _candidate_order(adj: np.ndarray, k: int) -> List[int]:
@@ -708,6 +653,16 @@ def _factorial(m: int) -> int:
     return math.factorial(m)
 
 
+def bound_holds(n: int, k: int, strong_applies: bool) -> Tuple[bool, bool]:
+    """(weak, strong) for a connected integral graph of degree k on |G| = n.
+
+    weak is n | 2(2k-1)!; strong is n | (2k-1)!, and True where the
+    strengthened bound does not apply.
+    """
+    base = _factorial(2 * k - 1) if k >= 1 else 1
+    return (2 * base) % n == 0, not strong_applies or base % n == 0
+
+
 def divisibility_bound_check(c: CayleyGraph, v: Optional[SpectrumVerdict] = None) -> BoundCheck:
     """Check |G| | 2(2|S|-1)! for a connected integral Cayley graph."""
     if v is None:
@@ -715,11 +670,8 @@ def divisibility_bound_check(c: CayleyGraph, v: Optional[SpectrumVerdict] = None
     connected = c.generates()
     if not (connected and v.integral):
         return BoundCheck(applies=False, holds=True, strong=True)
-    k = c.degree
-    base = _factorial(2 * k - 1) if k >= 1 else 1
-    holds = (2 * base) % c.group.order == 0
     strong_applies = is_perfect(c.group) or any(
         c.group.element_order(x) % 2 == 1 for x in c.subset
     )
-    strong = (not strong_applies) or base % c.group.order == 0
+    holds, strong = bound_holds(c.group.order, c.degree, strong_applies)
     return BoundCheck(applies=True, holds=holds, strong=strong)

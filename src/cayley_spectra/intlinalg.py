@@ -1,10 +1,11 @@
 """Exact integer matrices and polynomials.
 
 Rank and determinant use fraction-free Bareiss elimination over Python
-ints.  Characteristic polynomials are computed modulo several word-size
-primes via power-sum traces and Newton's identities, then recombined by
-CRT; the prime product is always checked against a Hadamard-style bound
-on the coefficients, so results are exact, never heuristic.
+ints.  IntMatrix.char_poly and SpectraEngine.split_results share one
+char-poly pipeline: traces modulo word-size primes (each walks its own),
+_newton_batch, crt_lift, then integer_root_split for integer roots.  The
+prime product is always checked against a Hadamard-style bound on the
+coefficients, so results are exact, never heuristic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,19 +133,19 @@ def divide_by_linear(p: IntPolynomial, r: int) -> Optional[IntPolynomial]:
 
 
 def integer_root_split(
-    p: IntPolynomial, lo: int, hi: int
+    p: IntPolynomial, candidates: Iterable[int]
 ) -> Tuple[dict, IntPolynomial]:
-    """Factor out all roots in [lo, hi] of a monic integer polynomial.
+    """Factor out every root among candidates of a monic integer polynomial.
 
     Returns ({root: multiplicity}, remainder) with
-    p == remainder * prod (x - r)^mult and remainder having no integer
-    roots in the range.
+    p == remainder * prod (x - r)^mult and no candidate a root of the
+    remainder; roots not among the candidates stay in the remainder.
     """
     if not p.is_monic():
         raise ValueError("integer_root_split requires a monic polynomial")
     roots: dict = {}
     rest = p
-    for r in range(lo, hi + 1):
+    for r in candidates:
         while True:
             q = divide_by_linear(rest, r)
             if q is None:
@@ -174,19 +175,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int, m: Optional[int] = None) -> "IntMatrix":
-        m = n if m is None else m
-        return cls([[0] * m for _ in range(n)])
-
-    @classmethod
-    def ones(cls, n: int, m: Optional[int] = None) -> "IntMatrix":
-        m = n if m is None else m
-        return cls([[1] * m for _ in range(n)])
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -232,9 +220,6 @@ class IntMatrix:
             ]
         )
 
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * a for a in r] for r in self.rows])
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -249,9 +234,6 @@ class IntMatrix:
             for rb in other.rows:
                 out.append([a * b for a in ra for b in rb])
         return IntMatrix(out)
-
-    def to_numpy_float(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.float64)
 
     def rank(self) -> int:
         return _bareiss_echelon(self.rows)[0]
@@ -312,11 +294,6 @@ def _bareiss_echelon(rows: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _inverse_table(p: int, n: int) -> tuple:
-    return tuple(pow(m, p - 2, p) for m in range(1, n + 1))
-
-
 def charpoly_coeff_bound(n: int, row_norm_sq: Sequence[int]) -> int:
     """Bound on |coefficients| of det(xI - A) from row 2-norms.
 
@@ -348,29 +325,6 @@ def primes_for_bound(bound: int) -> tuple:
     raise ValueError("coefficient bound exceeds available CRT capacity")
 
 
-def newton_charpoly_mod(traces: Sequence[int], n: int, p: int) -> list:
-    """char poly residues mod p from power-sum traces tr(A^1..A^n).
-
-    Returns coefficients [c_0 .. c_n] of det(xI - A) mod p, c_n = 1.
-    Newton's identities: m*e_m = sum_{i=1..m} (-1)^(i-1) e_(m-i) p_i.
-    """
-    inv = _inverse_table(p, n if n else 1)
-    e = [1] + [0] * n
-    for m in range(1, n + 1):
-        acc = 0
-        sgn = 1
-        for i in range(1, m + 1):
-            acc += sgn * e[m - i] * traces[i - 1]
-            acc %= p
-            sgn = -sgn
-        e[m] = acc * inv[m - 1] % p
-    coeffs = [0] * (n + 1)
-    for m in range(n + 1):
-        c = e[m] if m % 2 == 0 else (-e[m]) % p
-        coeffs[n - m] = c
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def crt_context(primes: tuple) -> tuple:
     """(M, weights) with weights[i] = (M/p_i) * inv(M/p_i mod p_i, p_i).
@@ -387,16 +341,53 @@ def crt_context(primes: tuple) -> tuple:
     return M, weights
 
 
-def crt_symmetric(residues: Sequence[int], primes: Sequence[int]) -> int:
-    """Combine residues into the unique representative in (-M/2, M/2]."""
-    M, weights = crt_context(tuple(primes))
-    x = 0
-    for r, w in zip(residues, weights):
-        x += r * w
-    x %= M
-    if 2 * x > M:
-        x -= M
-    return x
+def crt_lift(coeff: np.ndarray, primes: Sequence[int]) -> List[IntPolynomial]:
+    """One integer polynomial per b from residues coeff[t, b, j] mod primes[t].
+
+    Coefficient j of polynomial b is the representative in (-M/2, M/2],
+    M the product of the primes, of the residues coeff[:, b, j].
+    """
+    m_mod, weights = crt_context(tuple(primes))
+    half = m_mod >> 1
+    out = []
+    for per_prime in zip(*coeff.tolist()):
+        cs = [sum(r * w for r, w in zip(col, weights)) % m_mod for col in zip(*per_prime)]
+        out.append(IntPolynomial.of(x - m_mod if x > half else x for x in cs))
+    return out
+
+
+def _newton_batch(traces: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Char-poly coefficients mod p for a whole batch of trace rows.
+
+    traces has shape (b, n) holding tr(A^1..A^n) mod p per matrix; the
+    result has shape (b, n+1) with column j the coefficient of x^j in
+    det(xI - A) mod p.  Newton's identities need division by 1..n, hence
+    the primes all exceed the largest supported order.
+    """
+    b = traces.shape[0]
+    inv = np.empty(n + 1, dtype=np.int64)
+    inv[0] = 1
+    for m in range(1, n + 1):
+        inv[m] = pow(m, p - 2, p)
+    e = np.zeros((b, n + 1), dtype=np.int64)
+    e[:, 0] = 1
+    acc = np.zeros(b, dtype=np.int64)
+    for m in range(1, n + 1):
+        acc[:] = 0
+        sgn = 1
+        for i in range(1, m + 1):
+            term = e[:, m - i] * traces[:, i - 1] % p
+            if sgn > 0:
+                acc += term
+            else:
+                acc += p - term
+            sgn = -sgn
+        e[:, m] = acc % p * inv[m] % p
+    coeff = np.empty((b, n + 1), dtype=np.int64)
+    for m in range(n + 1):
+        col = e[:, m] if m % 2 == 0 else (p - e[:, m]) % p
+        coeff[:, n - m] = col
+    return coeff
 
 
 def _char_poly_general(a: IntMatrix) -> IntPolynomial:
@@ -404,22 +395,18 @@ def _char_poly_general(a: IntMatrix) -> IntPolynomial:
     if n == 0:
         return IntPolynomial.of([1])
     norms = [sum(c * c for c in row) for row in a.rows]
-    bound = charpoly_coeff_bound(n, norms)
-    primes = primes_for_bound(bound)
-    residue_sets = []
+    primes = primes_for_bound(charpoly_coeff_bound(n, norms))
+    coeff = []
     for p in primes:
         m = np.array([[c % p for c in row] for row in a.rows], dtype=np.int64)
-        power = m
-        traces = [int(np.trace(m)) % p]
-        for _ in range(n - 1):
+        power, traces = np.identity(n, dtype=np.int64), []
+        for _ in range(n):
             power = power @ m % p
             traces.append(int(np.trace(power)) % p)
-        residue_sets.append(newton_charpoly_mod(traces, n, p))
-    coeffs = [
-        crt_symmetric([rs[i] for rs in residue_sets], primes) for i in range(n + 1)
-    ]
-    assert coeffs[n] == 1
-    return IntPolynomial.of(coeffs)
+        coeff.append(_newton_batch(np.array([traces], dtype=np.int64), n, p))
+    (chi,) = crt_lift(np.array(coeff), primes)
+    assert chi.is_monic()
+    return chi
 
 
 def annihilator_product_oracle(a: IntMatrix, k: int) -> bool:

@@ -34,7 +34,7 @@ import numpy as np
 from . import catalog
 from .cayley import SymmetricSubset
 from .groups import FiniteGroup, is_perfect, is_subgroup
-from .integrality import _factorial, engine_for
+from .integrality import bound_holds, engine_for
 
 SCAN_ORDER_CAP = 32
 _CHUNK = 2048
@@ -300,14 +300,12 @@ def _scan_counters(
             if integral:
                 stats.integral_count += 1
                 if spectrum.get(k, 0) == 1:  # connected
+                    strong_applies = perfect or mask & odd_mask != 0
+                    weak, strong = bound_holds(n_order, k, strong_applies)
                     stats.bound_checked += 1
-                    base = _factorial(2 * k - 1) if k >= 1 else 1
-                    if (2 * base) % n_order:
-                        stats.bound_weak_violations += 1
-                    if perfect or mask & odd_mask:
-                        stats.bound_strong_checked += 1
-                        if base % n_order:
-                            stats.bound_strong_violations += 1
+                    stats.bound_weak_violations += not weak
+                    stats.bound_strong_checked += strong_applies
+                    stats.bound_strong_violations += not strong
             else:
                 stats.nonintegral_count += 1
             kind = None

@@ -16,7 +16,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import __version__, catalog
 from .cayley import (
@@ -31,6 +31,7 @@ from .cayley import (
 from .groups import (
     ElementSubset,
     FiniteGroup,
+    _bits_of,
     closure,
     is_normal,
     is_perfect,
@@ -393,13 +394,6 @@ def _suite_bounds(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[d
 
 
 # -- lifts ------------------------------------------------------------------
-
-
-def _bits_of(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _random_symmetric_bits(g: FiniteGroup, inside: int, rng: random.Random) -> int:

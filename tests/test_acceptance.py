@@ -82,7 +82,7 @@ def test_criterion_01_witness_eigenvalues(capsys):
         # the A4 witness char poly factors as integer roots times an
         # irreducible quadratic cubed
         a4 = _graph("A4", ["(13)(24)", "(14)(23)", "(123)", "(132)"])
-        roots, rest = integer_root_split(a4.adjacency_matrix().char_poly(), -4, 4)
+        roots, rest = integer_root_split(a4.adjacency_matrix().char_poly(), range(-4, 5))
         assert roots == {4: 1, 1: 2, -1: 3}
         assert rest == IntPolynomial.of([-4, 1, 1]) ** 3
         assert time.monotonic() - t0 < 1.0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayley_spectra.catalog import build_cached
+from cayley_spectra.catalog import build_cached, catalog_up_to_12
 from cayley_spectra.cayley import CayleyGraph, SymmetricSubset
+from cayley_spectra.groups import is_perfect
 from cayley_spectra.integrality import (
     BoundCheck,
     divisibility_bound_check,
@@ -13,7 +14,8 @@ from cayley_spectra.integrality import (
     spectrum_of_subset_list,
     verdict,
 )
-from cayley_spectra.search import symmetric_subsets
+from cayley_spectra.intlinalg import IntPolynomial
+from cayley_spectra.search import exhaustive_scan, symmetric_subsets
 
 LABELS = ["Z6", "Z8", "D4", "Q8", "S3", "Z2^3", "A4", "Dic12"]
 
@@ -134,6 +136,11 @@ def test_divisibility_bound_check():
     # disconnected graph: bound not in force
     c3 = CayleyGraph.from_names(g, ["(123)", "(132)"])
     assert not divisibility_bound_check(c3).applies
+    # C4 on Z4: 4 does not divide 3!, but no element of S has odd order
+    # and Z4 is not perfect, so the strong form is not in force
+    z4 = build_cached("Z4")
+    chk4 = divisibility_bound_check(CayleyGraph.from_names(z4, ["1", "3"]))
+    assert chk4.applies and chk4.holds and chk4.strong
 
 
 @given(st.sampled_from(["Z6", "Z8", "D4", "Q8"]), st.data())
@@ -151,3 +158,61 @@ def test_spectrum_invariant_under_conjugation(label, data):
     vb = verdict(CayleyGraph(g, s2))
     assert va.integral == vb.integral
     assert va.spectrum == vb.spectrum
+
+
+def test_unknown_method_raises_in_both_entry_points():
+    g = build_cached("D4")
+    c = CayleyGraph.from_names(g, ["x"])
+    with pytest.raises(ValueError, match="unknown verdict method"):
+        spectrum_of_subset_list(g, [c.subset], method="chrapoly")
+    with pytest.raises(ValueError, match="unknown verdict method"):
+        verdict(c, method="chrapoly")
+    assert spectrum_of_subset_list(g, [c.subset], method="rank")[0].method == "rank"
+
+
+@pytest.mark.parametrize("label", ["S3", "D4", "Z6xZ2", "Dic12", "SL2_3"])
+def test_scan_bound_counters_match_divisibility_bound_check(label):
+    """The scan's bound tallies are the sums of divisibility_bound_check
+    over every symmetric subset; strong_checked counts the subsets where
+    the strengthened bound is in force (G perfect or S has an element of
+    odd order)."""
+    g = build_cached(label)
+    stats = exhaustive_scan(
+        g, "cayley_integral", reduce_orbits=False, workers=1, witness_limit=None
+    ).stats
+    subsets = list(symmetric_subsets(g))
+    perfect = is_perfect(g)
+    checked = weak = strong_checked = strong = 0
+    for s, v in zip(subsets, spectrum_of_subset_list(g, subsets)):
+        chk = divisibility_bound_check(CayleyGraph(g, s), v)
+        if not chk.applies:
+            continue
+        checked += 1
+        weak += not chk.holds
+        strong_checked += perfect or any(g.element_order(x) % 2 == 1 for x in s)
+        strong += not chk.strong
+    assert (
+        stats.bound_checked,
+        stats.bound_weak_violations,
+        stats.bound_strong_checked,
+        stats.bound_strong_violations,
+    ) == (checked, weak, strong_checked, strong)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("label", [expr for expr, _ in catalog_up_to_12()])
+def test_split_results_rebuilds_char_poly_order_le_12(label):
+    """prod (x - r)^m * rest from the engine's identity-row trace walk
+    equals IntMatrix.char_poly, whose general trace loop is tested
+    against cofactor expansion, on every symmetric subset; the
+    remainder keeps no root in [-k, k], where every integer root lies."""
+    g = build_cached(label)
+    subsets = list(symmetric_subsets(g))
+    split = engine_for(g).split_results([s.bits for s in subsets])
+    for s, (k, roots, rest) in zip(subsets, split):
+        rebuilt = rest
+        for r, m in roots.items():
+            rebuilt = rebuilt * IntPolynomial.x_minus(r) ** m
+        assert rebuilt == CayleyGraph(g, s).adjacency_matrix().char_poly(), hex(s.bits)
+        assert k == len(s)
+        assert all(rest(r) != 0 for r in range(-k, k + 1)), hex(s.bits)

@@ -8,12 +8,12 @@ from cayley_spectra.intlinalg import (
     PRIMES,
     IntMatrix,
     IntPolynomial,
+    _newton_batch,
     annihilator_product_oracle,
     charpoly_coeff_bound,
-    crt_symmetric,
+    crt_lift,
     divide_by_linear,
     integer_root_split,
-    newton_charpoly_mod,
     primes_for_bound,
 )
 
@@ -98,7 +98,7 @@ def test_char_poly_mod_prime_matches_exact(a):
         power = power @ a
         traces.append(sum(power[i, i] for i in range(n)) % p)
     exact = a.char_poly()
-    modp = newton_charpoly_mod(traces, n, p)
+    modp = _newton_batch(np.array([traces], dtype=np.int64), n, p)[0].tolist()
     assert [c % p for c in exact.coeffs] == [c % p for c in modp]
 
 
@@ -141,8 +141,25 @@ def test_crt_symmetric_roundtrip():
     for p in ps:
         m *= p
     for v in [0, 1, -1, 12345, -99999, m // 2 - 1, -(m // 2 - 1)]:
-        residues = [v % p for p in ps]
-        assert crt_symmetric(residues, ps) == v
+        residues = np.array([[[v % p]] for p in ps], dtype=np.int64)
+        assert crt_lift(residues, ps)[0].coeffs[0] == v
+
+
+def test_crt_lift_rows_and_extremes():
+    # coeff[t, b, j]: three rows of four coefficients each, lifted at once
+    ps = PRIMES[:3]
+    m = ps[0] * ps[1] * ps[2]
+    top = m // 2  # M is odd, so (-M/2, M/2] runs from -top to top
+    rows = [
+        [top - 1, -(top - 1), 7, 1],
+        [top, -top, 0, 1],
+        [-1, 0, m // 3, 1],
+    ]
+    residues = np.array([[[c % p for c in row] for row in rows] for p in ps], dtype=np.int64)
+    assert [chi.coeffs for chi in crt_lift(residues, ps)] == [tuple(r) for r in rows]
+    # one past the top wraps to the bottom of the range
+    wrap = np.array([[[(top + 1) % p]] for p in ps], dtype=np.int64)
+    assert crt_lift(wrap, ps)[0].coeffs == (-top,)
 
 
 def test_divide_by_linear_exact_or_none():
@@ -154,14 +171,24 @@ def test_divide_by_linear_exact_or_none():
 
 def test_integer_root_split_full_and_partial():
     p = IntPolynomial.x_minus(2) ** 3 * IntPolynomial.x_minus(-1) ** 2
-    roots, rest = integer_root_split(p, -5, 5)
+    roots, rest = integer_root_split(p, range(-5, 6))
     assert roots == {2: 3, -1: 2}
     assert rest.degree == 0
     irr = IntPolynomial.of([-2, 0, 1])  # x^2 - 2
     p2 = IntPolynomial.x_minus(1) * irr
-    roots, rest = integer_root_split(p2, -3, 3)
+    roots, rest = integer_root_split(p2, range(-3, 4))
     assert roots == {1: 1}
     assert rest == irr
+
+
+def test_integer_root_split_sparse_candidates():
+    # 3 is a root but not a candidate: it must stay in the remainder
+    p = IntPolynomial.x_minus(3) ** 2 * IntPolynomial.x_minus(-2) * IntPolynomial.x_minus(0)
+    roots, rest = integer_root_split(p, [-2, 0, 5])
+    assert roots == {-2: 1, 0: 1}
+    assert rest == IntPolynomial.x_minus(3) ** 2
+    roots, rest = integer_root_split(p, [])
+    assert roots == {} and rest == p
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=6))
@@ -171,7 +198,7 @@ def test_root_split_reconstructs_polynomial(root_list):
     for r in root_list:
         p = p * IntPolynomial.x_minus(r)
     limit = max(abs(r) for r in root_list)
-    roots, rest = integer_root_split(p, -limit, limit)
+    roots, rest = integer_root_split(p, range(-limit, limit + 1))
     assert rest.degree == 0 and rest.coeffs[-1] == 1
     rebuilt = IntPolynomial.of([1])
     for r, mult in roots.items():
