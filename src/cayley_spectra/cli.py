@@ -7,7 +7,8 @@ Commands:
   catalog list|show       enumerate or display catalog groups
 
 Exit codes: 0 ok, 1 verification mismatch, 2 parse error, 3 asymmetric
-subset, 4 exhaustive cap exceeded without --force, 5 unusable checkpoint.
+subset, 4 exhaustive cap exceeded without --force, 5 unusable checkpoint,
+6 a --json or --checkpoint path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_PARSE_ERROR = 2
 EXIT_ASYMMETRIC = 3
 EXIT_CAP_EXCEEDED = 4
 EXIT_CHECKPOINT = 5
+EXIT_IO = 6
 
 
 def _canonical_json(d: dict) -> str:
@@ -64,6 +66,13 @@ def _default_threads() -> int:
 
 def _threads(args) -> int:
     return args.threads if args.threads else _default_threads()
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parse_subset(group: FiniteGroup, literal: str) -> SymmetricSubset:
@@ -219,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="exhaustive verdict for one group")
     sp.add_argument("group")
     sp.add_argument("predicate", choices=["cayley-integral", "cis"])
-    sp.add_argument("--witness-limit", type=int, default=1, metavar="K",
+    sp.add_argument("--witness-limit", type=_positive_int, default=1, metavar="K",
                     help="stop after K witnesses (default 1)")
     common(sp, checkpoint=True)
     sp.set_defaults(func=cmd_check)
@@ -250,6 +259,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except OSError as e:
+        print(f"file error: {e}", file=sys.stderr)
+        return EXIT_IO
     except GroupParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -41,7 +41,6 @@ class FiniteGroup:
         "_xyinv",
         "_orders",
         "_is_abelian",
-        "_cell_cache",
         "__weakref__",
     )
 
@@ -69,7 +68,6 @@ class FiniteGroup:
         self._xyinv = None
         self._orders = None
         self._is_abelian = None
-        self._cell_cache = None
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
         if validate:

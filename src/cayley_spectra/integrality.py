@@ -120,8 +120,10 @@ class SpectraEngine:
     mask.  The exact route, split_results(), walks traces modulo several
     primes and hands them to intlinalg's char-poly pipeline (Newton, CRT
     lift, integer-root split), the one IntMatrix.char_poly uses; it
-    serves verdict(), witness detail, and the capacity fallback of
-    certify(), and the tests use each route as the other's oracle.
+    serves verdict() and so the ds suite, witness detail, and the
+    capacity fallback of certify(), and the tests use each route as the
+    other's oracle.  char_polys() stops that route at the CRT lift and
+    gives the lifts suite its char polys.
 
     Traces come from the identity row alone: right translations are
     automorphisms acting transitively, so every power of A has constant
@@ -189,6 +191,13 @@ class SpectraEngine:
         traces = self._traces(adj, primes)
         coeff = np.stack([_newton_batch(t, self.n, p) for t, p in zip(traces, primes)])
         return coeff, primes, degrees
+
+    def char_polys(self, masks: Sequence[int]) -> List[IntPolynomial]:
+        """det(xI - A) per mask, exact: _coeff_residues lifted by crt_lift."""
+        if not masks:
+            return []
+        coeff, primes, _ = self._coeff_residues(masks)
+        return crt_lift(coeff, primes)
 
     def certify(self, masks: Sequence[int]) -> List[Tuple[int, Optional[Dict[int, int]]]]:
         """(degree, exact spectrum, or None when non-integral) per mask, in input order.

@@ -1,11 +1,12 @@
 """Exact integer matrices and polynomials.
 
 Rank and determinant use fraction-free Bareiss elimination over Python
-ints.  IntMatrix.char_poly and SpectraEngine.split_results share one
-char-poly pipeline: traces modulo word-size primes (each walks its own),
-_newton_batch, crt_lift, then integer_root_split for integer roots.  The
-prime product is always checked against a Hadamard-style bound on the
-coefficients, so results are exact, never heuristic.
+ints.  The one modular char-poly pipeline lives here: traces modulo
+word-size primes, _newton_batch, crt_lift, then integer_root_split.
+SpectraEngine feeds it Cayley-graph traces in batches and gives the
+suites every char poly and verdict; IntMatrix.char_poly feeds it any
+square matrix and is the tests' general-matrix oracle.  The prime product
+is checked against a Hadamard-style bound, so results are exact.
 """
 
 from __future__ import annotations

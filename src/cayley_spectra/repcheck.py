@@ -21,8 +21,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import catalog
-from .cayley import SymmetricSubset
+from .cayley import CayleyGraph, SymmetricSubset
 from .groups import FiniteGroup
+from .integrality import SpectrumVerdict, verdict
 
 HOM_TOL = 1e-9
 CHAR_TOL = 1e-7
@@ -122,21 +123,21 @@ class RepSystem:
 
 
 def ds_union_check(
-    system: RepSystem, subset: SymmetricSubset, tol: float = UNION_TOL
+    system: RepSystem, subset: SymmetricSubset, v: Optional[SpectrumVerdict] = None,
+    tol: float = UNION_TOL,
 ) -> bool:
     """Does the degree-weighted union of rep spectra equal the exact one?
 
-    For an integral exact spectrum the comparison is exact on integer
+    v is the subset's verdict, computed here when not given.  For an
+    integral exact spectrum the comparison is exact on integer
     multiplicities (rep eigenvalues rounded within tol); otherwise both
     sorted float multisets must agree elementwise within tol.
     """
-    from .cayley import CayleyGraph
-    from .integrality import verdict
-
     if subset.group is not system.group:
         raise ValueError("subset is over a different group")
     graph = CayleyGraph(system.group, subset)
-    v = verdict(graph)
+    if v is None:
+        v = verdict(graph)
     union: List[complex] = []
     for rep in system.reps:
         eig = np.linalg.eigvals(rep.sum_over(subset))
@@ -459,8 +460,6 @@ def _abelian_generators(expr) -> Optional[List[Tuple[int, int]]]:
         if e.name.startswith("Z"):
             n = int(e.name[1:])
             return [(1 % n, n)] if n > 1 else []
-        if e.name == "E9" or e.name.startswith(("D", "S", "A", "Q", "SL")):
-            return None
         return None
     if isinstance(e, catalog.Power):
         base = e.base

@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Dict, List, Sequence, Tuple
 
 from . import __version__, catalog
 from .cayley import (
     CayleyGraph,
     SymmetricSubset,
-    induced_subgroup_adjacency,
     lift_from_quotient,
     lift_from_subgroup,
     lift_preimage,
@@ -40,7 +40,7 @@ from .groups import (
     subgroup_group,
     subgroups_up_to_two_generators,
 )
-from .integrality import verdict
+from .integrality import engine_for, spectrum_of_subset_list, verdict
 from .intlinalg import IntMatrix, IntPolynomial
 from .repcheck import ds_union_check, rep_integral, system_for
 from .search import WITNESS_KIND, GroupVerdict, exhaustive_scan, symmetric_subsets
@@ -394,6 +394,11 @@ def _suite_bounds(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[d
 
 
 # -- lifts ------------------------------------------------------------------
+# A draw takes one instance of a lift identity from rng and returns (needs,
+# check): the (group, mask) pairs whose char polys the identity relates,
+# and a predicate on those char polys.  _suite_lifts draws every instance
+# first, then takes all char polys from one engine batch per group.  The
+# caches below hold at most one entry per pool group and subgroup.
 
 
 def _random_symmetric_bits(g: FiniteGroup, inside: int, rng: random.Random) -> int:
@@ -410,134 +415,107 @@ def _random_symmetric_bits(g: FiniteGroup, inside: int, rng: random.Random) -> i
     return bits
 
 
-def _lift_pool() -> List[str]:
-    return _catalog_labels_12() + list(LIFT_POOL_EXTRA)
+@lru_cache(maxsize=None)
+def _subgroups(label: str) -> Tuple[tuple, tuple]:
+    """(2-generated subgroups, the normal ones among them) of a catalog group, as masks."""
+    g = catalog.build_cached(label)
+    masks = tuple(subgroups_up_to_two_generators(g))
+    return masks, tuple(m for m in masks if is_normal(g, m))
 
 
-def _check_subgroup_lift(g: FiniteGroup, h_mask: int, rng: random.Random) -> bool:
+@lru_cache(maxsize=None)
+def _section(build, label: str, mask: int) -> tuple:
+    """subgroup_group or quotient of a catalog group, built once per (label, mask)."""
+    return build(catalog.build_cached(label), mask)
+
+
+def _draw_subgroup(rng: random.Random, label: str) -> tuple:
+    """T = S + (G - H): chi_T (x - k)^m = chi_S^m (x - k - h(m-1)) (x - k + h)^(m-1),
+    where k = |S|, h = |H| and m = [G:H]."""
+    g = catalog.build_cached(label)
+    h_mask = rng.choice(_subgroups(label)[0])
     s = SymmetricSubset(g, _random_symmetric_bits(g, h_mask, rng))
-    h = ElementSubset(g, h_mask)
-    t = lift_from_subgroup(g, h, s)
-    nh = h_mask.bit_count()
-    k = g.order // nh
-    deg = len(s)
-    chi_t = CayleyGraph(g, t).adjacency_matrix().char_poly()
-    chi_s = induced_subgroup_adjacency(g, h, s).char_poly()
-    lhs = chi_t * IntPolynomial.x_minus(deg) ** k
-    rhs = (
-        chi_s**k
-        * IntPolynomial.x_minus(deg + nh * (k - 1))
-        * IntPolynomial.x_minus(deg - nh) ** (k - 1)
-    )
-    return lhs == rhs
+    t = lift_from_subgroup(g, ElementSubset(g, h_mask), s)
+    sub, embed = _section(subgroup_group, label, h_mask)
+    s_sub = sum(1 << i for i, x in enumerate(embed) if s.bits >> x & 1)
+    k, h, m, lin = len(s), len(embed), g.order // len(embed), IntPolynomial.x_minus
+
+    def check(chi_t: IntPolynomial, chi_s: IntPolynomial) -> bool:
+        return chi_t * lin(k) ** m == chi_s**m * lin(k + h * (m - 1)) * lin(k - h) ** (m - 1)
+
+    return ((g, t.bits), (sub, s_sub)), check
 
 
-def _check_quotient_lift(
-    g: FiniteGroup, n_mask: int, rng: random.Random, via_preimage: bool
-) -> bool:
-    qgroup, proj = quotient(g, n_mask)
-    sbar = SymmetricSubset(
-        qgroup, _random_symmetric_bits(qgroup, (1 << qgroup.order) - 1, rng)
-    )
-    if via_preimage:
-        t = lift_preimage(g, proj, sbar)
-        t2 = lift_from_quotient(g, ElementSubset(g, n_mask), sbar)
-        if t.bits != t2.bits:
-            return False
-    else:
-        t = lift_from_quotient(g, ElementSubset(g, n_mask), sbar)
-    nn = n_mask.bit_count()
-    chi_t = CayleyGraph(g, t).adjacency_matrix().char_poly()
-    chi_q = CayleyGraph(qgroup, sbar).adjacency_matrix().char_poly()
-    rhs = chi_q.scale_roots(nn).shift_by_x_power(g.order - qgroup.order)
-    return chi_t == rhs
+def _via_quotient(g: FiniteGroup, n_mask: int, proj: tuple, sbar: SymmetricSubset):
+    return lift_from_quotient(g, ElementSubset(g, n_mask), sbar)
 
 
-def _check_union_product(
-    g1: FiniteGroup, g2: FiniteGroup, rng: random.Random
-) -> bool:
+def _via_preimage(g: FiniteGroup, n_mask: int, proj: tuple, sbar: SymmetricSubset):
+    """lift_preimage's T, or None where lift_from_quotient's differs."""
+    t = lift_preimage(g, proj, sbar)
+    return t if t == _via_quotient(g, n_mask, proj, sbar) else None
+
+
+def _draw_quotient(rng: random.Random, label: str, lift) -> tuple:
+    """T = lift(G, N, projection, S-bar) for S-bar in G/N:
+    chi_T(x) = x^(|G| - |G/N|) |N|^|G/N| chi_Q(x / |N|)."""
+    g = catalog.build_cached(label)
+    n_mask = rng.choice(_subgroups(label)[1])
+    qgroup, proj = _section(quotient, label, n_mask)
+    sbar = SymmetricSubset(qgroup, _random_symmetric_bits(qgroup, (1 << qgroup.order) - 1, rng))
+    t = lift(g, n_mask, proj, sbar)
+    if t is None:
+        return (), lambda: False
+    nn, pad = n_mask.bit_count(), g.order - qgroup.order
+
+    def check(chi_t: IntPolynomial, chi_q: IntPolynomial) -> bool:
+        return chi_t == chi_q.scale_roots(nn).shift_by_x_power(pad)
+
+    return ((g, t.bits), (qgroup, sbar.bits)), check
+
+
+def _draw_union(rng: random.Random, pair: Tuple[str, str]) -> tuple:
+    """Cay(G1 x G2, T) has adjacency A1 (x) I + I (x) A2; needs no char poly."""
+    g1, g2 = (catalog.build_cached(lbl) for lbl in pair)
     s1 = SymmetricSubset(g1, _random_symmetric_bits(g1, (1 << g1.order) - 1, rng))
     s2 = SymmetricSubset(g2, _random_symmetric_bits(g2, (1 << g2.order) - 1, rng))
     prod, t = union_product_subset(g1, g2, s1, s2)
     a1 = CayleyGraph(g1, s1).adjacency_matrix()
     a2 = CayleyGraph(g2, s2).adjacency_matrix()
     want = a1.kron(IntMatrix.identity(g2.order)) + IntMatrix.identity(g1.order).kron(a2)
-    return CayleyGraph(prod, t).adjacency_matrix() == want
+    same = CayleyGraph(prod, t).adjacency_matrix() == want
+    return (), lambda: same
 
 
 def _suite_lifts(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[dict]]:
     rng = random.Random(LIFT_SEED)
-    pool = _lift_pool()
-    subgroup_cache: Dict[str, List[int]] = {}
-    normal_cache: Dict[str, List[int]] = {}
-
-    def subgroups_of(lbl: str) -> List[int]:
-        if lbl not in subgroup_cache:
-            g = catalog.build_cached(lbl)
-            subgroup_cache[lbl] = sorted(subgroups_up_to_two_generators(g))
-        return subgroup_cache[lbl]
-
-    def normal_subgroups_of(lbl: str) -> List[int]:
-        if lbl not in normal_cache:
-            g = catalog.build_cached(lbl)
-            normal_cache[lbl] = [m for m in subgroups_of(lbl) if is_normal(g, m)]
-        return normal_cache[lbl]
-
-    checks = []
-
-    def run_op(name: str, one_instance) -> None:
-        failures = []
-        for i in range(LIFT_INSTANCES):
-            if not one_instance(i):
-                failures.append(i)
-        checks.append(
-            {
-                "name": name,
-                "ok": not failures,
-                "detail": {
-                    "instances": LIFT_INSTANCES,
-                    "seed": LIFT_SEED,
-                    "failed_instances": failures[:10],
-                },
-            }
-        )
-
-    def inst_subgroup(_i: int) -> bool:
-        lbl = rng.choice(pool)
-        g = catalog.build_cached(lbl)
-        h_mask = rng.choice(subgroups_of(lbl))
-        return _check_subgroup_lift(g, h_mask, rng)
-
-    def inst_quotient(_i: int) -> bool:
-        lbl = rng.choice(pool)
-        g = catalog.build_cached(lbl)
-        n_mask = rng.choice(normal_subgroups_of(lbl))
-        return _check_quotient_lift(g, n_mask, rng, via_preimage=False)
-
-    def inst_preimage(_i: int) -> bool:
-        lbl = rng.choice(pool)
-        g = catalog.build_cached(lbl)
-        n_mask = rng.choice(normal_subgroups_of(lbl))
-        return _check_quotient_lift(g, n_mask, rng, via_preimage=True)
-
+    pool = _catalog_labels_12() + list(LIFT_POOL_EXTRA)
     # direct products are rebuilt per instance, so keep them small
-    pairs = [
-        (a, b)
-        for a in pool
-        for b in pool
-        if catalog.build_cached(a).order * catalog.build_cached(b).order <= 36
+    order = {lbl: catalog.build_cached(lbl).order for lbl in pool}
+    pairs = [(a, b) for a in pool for b in pool if order[a] * order[b] <= 36]
+    table = (
+        ("lift_from_subgroup", _draw_subgroup, pool),
+        ("lift_from_quotient", partial(_draw_quotient, lift=_via_quotient), pool),
+        ("lift_preimage", partial(_draw_quotient, lift=_via_preimage), pool),
+        ("union_product_subset", _draw_union, pairs),
+    )
+    drawn = [
+        (name, [draw(rng, rng.choice(choices)) for _ in range(LIFT_INSTANCES)])
+        for name, draw, choices in table
     ]
-
-    def inst_union(_i: int) -> bool:
-        a, b = rng.choice(pairs)
-        return _check_union_product(
-            catalog.build_cached(a), catalog.build_cached(b), rng
-        )
-
-    run_op("lift_from_subgroup", inst_subgroup)
-    run_op("lift_from_quotient", inst_quotient)
-    run_op("lift_preimage", inst_preimage)
-    run_op("union_product_subset", inst_union)
+    wanted: Dict[FiniteGroup, set] = {}
+    for grp, mask in (x for _, instances in drawn for needs, _ in instances for x in needs):
+        wanted.setdefault(grp, set()).add(mask)
+    chi = {}
+    for grp, masks in wanted.items():
+        chi.update(zip([(grp, m) for m in masks], engine_for(grp).char_polys(list(masks))))
+    checks = []
+    for name, instances in drawn:
+        failures = [
+            i for i, (needs, check) in enumerate(instances) if not check(*[chi[x] for x in needs])
+        ]
+        detail = {"instances": LIFT_INSTANCES, "seed": LIFT_SEED, "failed_instances": failures[:10]}
+        checks.append({"name": name, "ok": not failures, "detail": detail})
     return [], checks
 
 
@@ -546,17 +524,13 @@ def _suite_ds(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[dict]
     for lbl in DS_GROUPS:
         g = catalog.build_cached(lbl)
         system = system_for(lbl)
-        count = 0
-        union_ok = True
-        repint_ok = True
-        for s in symmetric_subsets(g):
-            count += 1
-            if not ds_union_check(system, s):
-                union_ok = False
-            exact = verdict(CayleyGraph(g, s)).integral
-            reps_say = all(rep_integral(r, s) is True for r in system.reps)
-            if reps_say != exact:
-                repint_ok = False
+        subsets = list(symmetric_subsets(g))
+        verdicts = spectrum_of_subset_list(g, subsets)
+        union_ok = all(ds_union_check(system, s, v) for s, v in zip(subsets, verdicts))
+        repint_ok = all(
+            all(rep_integral(r, s) is True for r in system.reps) == v.integral
+            for s, v in zip(subsets, verdicts)
+        )
         records.append(
             {
                 "group_expr": lbl,
@@ -566,8 +540,8 @@ def _suite_ds(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[dict]
                 "holds": union_ok and repint_ok,
                 "ok": union_ok and repint_ok,
                 "witnesses": [],
-                "subsets_enumerated": count,
-                "reduced_count": count,
+                "subsets_enumerated": len(subsets),
+                "reduced_count": len(subsets),
                 "union_ok": union_ok,
                 "rep_integrality_matches": repint_ok,
                 "degrees": list(system.degrees),

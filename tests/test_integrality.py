@@ -205,14 +205,18 @@ def test_split_results_rebuilds_char_poly_order_le_12(label):
     """prod (x - r)^m * rest from the engine's identity-row trace walk
     equals IntMatrix.char_poly, whose general trace loop is tested
     against cofactor expansion, on every symmetric subset; the
-    remainder keeps no root in [-k, k], where every integer root lies."""
+    remainder keeps no root in [-k, k], where every integer root lies.
+    char_polys, the engine's route for the lifts suite, equals it too."""
     g = build_cached(label)
     subsets = list(symmetric_subsets(g))
-    split = engine_for(g).split_results([s.bits for s in subsets])
-    for s, (k, roots, rest) in zip(subsets, split):
+    masks = [s.bits for s in subsets]
+    split = engine_for(g).split_results(masks)
+    chis = engine_for(g).char_polys(masks)
+    for s, (k, roots, rest), chi in zip(subsets, split, chis, strict=True):
         rebuilt = rest
         for r, m in roots.items():
             rebuilt = rebuilt * IntPolynomial.x_minus(r) ** m
-        assert rebuilt == CayleyGraph(g, s).adjacency_matrix().char_poly(), hex(s.bits)
+        oracle = CayleyGraph(g, s).adjacency_matrix().char_poly()
+        assert rebuilt == oracle and chi == oracle, hex(s.bits)
         assert k == len(s)
         assert all(rest(r) != 0 for r in range(-k, k + 1)), hex(s.bits)

@@ -223,6 +223,19 @@ def test_union_exhaustive_abelian(label):
         assert ds_union_check(system, s)
 
 
+def test_union_uses_the_verdict_passed_in():
+    """A verdict passed in gives the answer the check computes itself,
+    and another subset's integral verdict makes the check fail."""
+    system = system_for("D4")
+    subsets = list(symmetric_subsets(system.group))
+    verdicts = [verdict(CayleyGraph(system.group, s)) for s in subsets]
+    for s, v in zip(subsets, verdicts):
+        assert ds_union_check(system, s, v) == ds_union_check(system, s)
+    (s, v), *rest = [(s, v) for s, v in zip(subsets, verdicts) if v.integral]
+    other = next(w for _, w in rest if w.spectrum != v.spectrum)
+    assert ds_union_check(system, s, v) and not ds_union_check(system, s, other)
+
+
 def test_union_trivial_group():
     system = system_for("Z1")
     assert ds_union_check(system, SymmetricSubset(system.group, 0))

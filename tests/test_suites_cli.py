@@ -254,10 +254,19 @@ def test_catalog_show_requires_expr(capsys):
         (["spectrum", "Z4", "1"], 3),
         (["spectrum", "Z4", "0,2"], 3),
         (["spectrum", "Z4", "0x2"], 3),
+        (["spectrum", "Z4", "", "--json", "{tmp}/missing/out.json"], 6),
+        (["check", "Z2", "cis", "--checkpoint", "{tmp}"], 6),
+        (["check", "Z2", "cis", "--witness-limit", "0"], 2),
+        (["check", "Z2", "cis", "--witness-limit", "-1"], 2),
     ],
 )
-def test_error_exit_codes(capsys, argv, code):
-    rc = cli.main(argv)
+def test_error_exit_codes(capsys, tmp_path, argv, code):
+    """{tmp} in argv stands for a fresh directory: a missing --json
+    directory or a directory given as the checkpoint cannot be opened."""
+    try:
+        rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as e:  # argparse rejects the value
+        rc = e.code
     capsys.readouterr()
     assert rc == code
 
