@@ -460,8 +460,7 @@ def _build(e: GroupExpr) -> FiniteGroup:
     except ValueError as exc:
         # builder rejected a parameter (e.g. Z0): surface as a parse error
         raise GroupParseError(str(exc)) from exc
-    g = FiniteGroup(g.table, g.names, label=e.to_string(), validate=False)
-    return g
+    return FiniteGroup(g.table, g.names, label=e.to_string())
 
 
 def _build_node(e: GroupExpr) -> FiniteGroup:

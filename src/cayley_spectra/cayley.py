@@ -46,7 +46,6 @@ class SymmetricSubset:
                     f"subset is not inverse-closed: {g.names[x]} lacks its inverse"
                 )
             m ^= low
-        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def of(cls, group: FiniteGroup, elems: Iterable[int]) -> "SymmetricSubset":
@@ -209,11 +208,7 @@ def lift_from_quotient(
     qgroup, proj = quotient(g, nsub)
     if sbar.group.table != qgroup.table:
         raise ValueError("sbar does not live in the quotient of g by nsub")
-    bits = 0
-    for x in range(g.order):
-        if sbar.bits >> proj[x] & 1:
-            bits |= 1 << x
-    return SymmetricSubset(g, bits)
+    return lift_preimage(g, proj, sbar)
 
 
 def lift_preimage(

@@ -205,18 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, checkpoint=False):
+    def common(sp):
         sp.add_argument("--json", metavar="PATH", help="write canonical JSON here")
-        sp.add_argument("--threads", type=int, metavar="N",
+        sp.add_argument("--threads", type=_positive_int, metavar="N",
                         help="worker processes (default: available parallelism, "
                              "or CAYLEY_SPECTRA_THREADS)")
         sp.add_argument("--no-reduce", action="store_true",
                         help="disable conjugation-orbit reduction")
-        sp.add_argument("--force", action="store_true",
-                        help=f"scan groups larger than the cap of {SCAN_ORDER_CAP}")
-        if checkpoint:
-            sp.add_argument("--checkpoint", metavar="FILE",
-                            help="resumable scan state file")
 
     sp = sub.add_parser("spectrum", help="exact spectrum of one Cayley graph")
     sp.add_argument("group", help="group expression, e.g. Z2^3 or Q8xZ2")
@@ -230,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("predicate", choices=["cayley-integral", "cis"])
     sp.add_argument("--witness-limit", type=_positive_int, default=1, metavar="K",
                     help="stop after K witnesses (default 1)")
-    common(sp, checkpoint=True)
+    sp.add_argument("--force", action="store_true",
+                    help=f"scan groups larger than the cap of {SCAN_ORDER_CAP}")
+    sp.add_argument("--checkpoint", metavar="FILE", help="resumable scan state file")
+    common(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("verify", help="run a verification suite")

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-ASSOC_FULL_CHECK_LIMIT = 64
-ASSOC_SAMPLE_FACTOR = 10
 
 
 def _bits_of(mask: int) -> Iterator[int]:
@@ -24,9 +20,9 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Elements are the indices 0..order-1.  ``table[a][b]`` is the index of
-    the product a*b.  Construction validates the group axioms: Latin
-    square, two-sided identity, inverses, and associativity (checked on
-    all triples up to order 64, on a random sample above that).
+    the product a*b.  Construction checks the group axioms in full, at
+    every order: Latin square, two-sided identity, two-sided inverses
+    and associativity of every triple.
     """
 
     __slots__ = (
@@ -49,12 +45,10 @@ class FiniteGroup:
         table: Sequence[Sequence[int]],
         names: Optional[Sequence[str]] = None,
         label: Optional[str] = None,
-        validate: bool = True,
     ) -> None:
         self.order = len(table)
         if self.order == 0:
             raise ValueError("group must have at least one element")
-        self.table = tuple(tuple(row) for row in table)
         if names is None:
             names = [str(i) for i in range(self.order)]
         if len(names) != self.order:
@@ -64,63 +58,47 @@ class FiniteGroup:
         self._name_index = {s: i for i, s in enumerate(self.names)}
         if len(self._name_index) != self.order:
             raise ValueError("element names must be distinct")
-        self._np_table = None
+        if any(len(row) != self.order for row in table):
+            raise ValueError("table is not square")
+        self._np_table = np.array(table, dtype=np.int64)
+        self.identity, self.inverses = self._check_axioms(self._np_table)
+        self.table = tuple(map(tuple, self._np_table.tolist()))
         self._xyinv = None
         self._orders = None
         self._is_abelian = None
-        self.identity = self._find_identity()
-        self.inverses = self._find_inverses()
-        if validate:
-            self._validate()
 
-    # -- construction-time checks ------------------------------------
+    def _check_axioms(self, t: np.ndarray) -> Tuple[int, tuple]:
+        """(identity, inverses) of the square table t, or ValueError.
 
-    def _find_identity(self) -> int:
+        Checks, in order: every row and column is a permutation of the
+        elements, a two-sided identity, two-sided inverses, and
+        associativity of every triple.  Associativity compares (ab)c =
+        t[t[a]] with a(bc) = t[a][:, t] for a block of rows a at a time.
+        """
         n = self.order
-        full = list(range(n))
-        for e in range(n):
-            if list(self.table[e]) == full and all(self.table[x][e] == x for x in range(n)):
-                return e
-        raise ValueError("table has no two-sided identity")
-
-    def _find_inverses(self) -> tuple:
-        n, e = self.order, self.identity
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == e and self.table[b][a] == e:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no two-sided inverse")
-        return tuple(inv)
-
-    def _validate(self) -> None:
-        n = self.order
-        ref = frozenset(range(n))
-        for a in range(n):
-            if frozenset(self.table[a]) != ref:
-                raise ValueError(f"row {a} is not a permutation of the elements")
-        for b in range(n):
-            col = frozenset(self.table[a][b] for a in range(n))
-            if col != ref:
-                raise ValueError(f"column {b} is not a permutation of the elements")
-        t = self.table
-        if n <= ASSOC_FULL_CHECK_LIMIT:
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    tab = t[ta[b]]
-                    tb = t[b]
-                    for c in range(n):
-                        if tab[c] != ta[tb[c]]:
-                            raise ValueError(f"associativity fails at ({a},{b},{c})")
-        else:
-            rng = random.Random(0xA55)
-            for _ in range(ASSOC_SAMPLE_FACTOR * n * n):
-                a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise ValueError(f"associativity fails at ({a},{b},{c})")
+        full = np.arange(n)
+        bad_rows = np.flatnonzero((np.sort(t, axis=1) != full).any(axis=1))
+        if bad_rows.size:
+            raise ValueError(f"row {bad_rows[0]} is not a permutation of the elements")
+        bad_cols = np.flatnonzero((np.sort(t, axis=0) != full[:, None]).any(axis=0))
+        if bad_cols.size:
+            raise ValueError(f"column {bad_cols[0]} is not a permutation of the elements")
+        ids = np.flatnonzero((t == full).all(axis=1) & (t == full[:, None]).all(axis=0))
+        if not ids.size:
+            raise ValueError("table has no two-sided identity")
+        e = int(ids[0])
+        inv = np.argmax(t == e, axis=1)
+        one_sided = np.flatnonzero(t[inv, full] != e)
+        if one_sided.size:
+            raise ValueError(f"element {one_sided[0]} has no two-sided inverse")
+        step = max(1, (1 << 16) // (n * n))  # about 2^16 entries per block
+        for start in range(0, n, step):
+            rows = t[start:start + step]
+            fails = t[rows] != rows[:, t]
+            if fails.any():
+                a, b, c = np.argwhere(fails)[0].tolist()
+                raise ValueError(f"associativity fails at ({start + a},{b},{c})")
+        return e, tuple(inv.tolist())
 
     # -- element arithmetic --------------------------------------------
 
@@ -187,8 +165,6 @@ class FiniteGroup:
     # -- cached numpy views (used by the spectra engine) ---------------
 
     def np_table(self) -> np.ndarray:
-        if self._np_table is None:
-            self._np_table = np.array(self.table, dtype=np.int64)
         return self._np_table
 
     def xy_inv_table(self) -> np.ndarray:
@@ -364,16 +340,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with index convention (a, b) -> a * |g2| + b."""
     n1, n2 = g1.order, g2.order
     n = n1 * n2
-    t1, t2 = g1.table, g2.table
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            row = table[a1 * n2 + a2]
-            ra1, ra2 = t1[a1], t2[a2]
-            for b1 in range(n1):
-                rb = ra1[b1] * n2
-                for b2 in range(n2):
-                    row[b1 * n2 + b2] = rb + ra2[b2]
+    t1, t2 = g1.np_table(), g2.np_table()
+    table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n, n)
     names = [f"{s1}.{s2}" for s1 in g1.names for s2 in g2.names]
     return FiniteGroup(table, names, label=f"{g1.label}x{g2.label}")
 

@@ -374,39 +374,48 @@ class SpectraEngine:
     def _assemble(
         self, mask: int, k: int, roots: Dict[int, int], rest: IntPolynomial
     ) -> SpectrumVerdict:
-        n = self.n
-        total = sum(roots.values())
         if rest.degree == 0:
-            assert total == n
-            return SpectrumVerdict(
-                order=n,
-                degree=k,
-                integral=True,
-                spectrum=dict(sorted(roots.items(), reverse=True)),
-                integer_eigenspace_total=n,
-                remainder_degree=None,
-                float_evidence=(),
-                method="charpoly",
-            )
-        evidence = self._float_evidence(mask)
-        return SpectrumVerdict(
-            order=n,
-            degree=k,
-            integral=False,
-            spectrum=None,
-            integer_eigenspace_total=total,
-            remainder_degree=rest.degree,
-            float_evidence=evidence,
-            method="charpoly",
+            return _spectrum_verdict(self.n, k, roots, "charpoly")
+        return _spectrum_verdict(
+            self.n, k, roots, "charpoly", rest.degree, self._float_evidence(mask)
         )
 
     def _float_evidence(self, mask: int) -> tuple:
-        try:
-            eig = np.linalg.eigvalsh(self._adjacency([mask])[0][0])
-        except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
-            return ()
-        bad = [float(v) for v in eig if abs(v - round(v)) > FLOAT_EVIDENCE_TOL]
-        return tuple(sorted(bad))
+        return _off_integer_eigenvalues(self._adjacency([mask])[0][0])
+
+
+def _spectrum_verdict(
+    n: int,
+    k: int,
+    roots: Dict[int, int],
+    method: str,
+    remainder_degree: Optional[int] = None,
+    float_evidence: tuple = (),
+) -> SpectrumVerdict:
+    """The verdict for integer eigenvalues roots (value -> multiplicity):
+    integral exactly when they account for all n eigenvalues."""
+    total = sum(roots.values())
+    integral = total == n
+    return SpectrumVerdict(
+        order=n,
+        degree=k,
+        integral=integral,
+        spectrum=dict(sorted(roots.items(), reverse=True)) if integral else None,
+        integer_eigenspace_total=total,
+        remainder_degree=remainder_degree,
+        float_evidence=float_evidence,
+        method=method,
+    )
+
+
+def _off_integer_eigenvalues(adj: np.ndarray) -> tuple:
+    """Float eigenvalues of a symmetric matrix farther than
+    FLOAT_EVIDENCE_TOL from an integer, ascending; () if LAPACK fails."""
+    try:
+        eig = np.linalg.eigvalsh(adj.astype(np.float64))
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
+        return ()
+    return tuple(sorted(float(v) for v in eig if abs(v - round(v)) > FLOAT_EVIDENCE_TOL))
 
 
 def _screen(coeff: np.ndarray, degrees: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -610,30 +619,8 @@ def _verdict_by_ranks(c: CayleyGraph) -> SpectrumVerdict:
             spectrum[t] = mult
             total += mult
             if total == n:
-                return SpectrumVerdict(
-                    order=n,
-                    degree=k,
-                    integral=True,
-                    spectrum=dict(sorted(spectrum.items(), reverse=True)),
-                    integer_eigenspace_total=n,
-                    remainder_degree=None,
-                    float_evidence=(),
-                    method="rank",
-                )
-    eig = np.linalg.eigvalsh(adj.astype(np.float64))
-    bad = tuple(
-        sorted(float(v) for v in eig if abs(v - round(v)) > FLOAT_EVIDENCE_TOL)
-    )
-    return SpectrumVerdict(
-        order=n,
-        degree=k,
-        integral=False,
-        spectrum=None,
-        integer_eigenspace_total=total,
-        remainder_degree=None,
-        float_evidence=bad,
-        method="rank",
-    )
+                return _spectrum_verdict(n, k, spectrum, "rank")
+    return _spectrum_verdict(n, k, spectrum, "rank", None, _off_integer_eigenvalues(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -286,23 +286,7 @@ def permutation_rep(group: FiniteGroup, label: str = "perm") -> ExplicitRep:
 
 
 def _sign_values(group: FiniteGroup) -> List[int]:
-    out = []
-    for p in catalog.permutations_of(group):
-        seen = [False] * len(p)
-        sign = 1
-        for i in range(len(p)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        out.append(sign)
-    return out
+    return [1 - 2 * catalog._parity(p) for p in catalog.permutations_of(group)]
 
 
 def system_s3() -> RepSystem:

@@ -597,17 +597,10 @@ def is_cis(group: FiniteGroup, **kwargs) -> GroupVerdict:
 WITNESS_KIND = {"cayley_integral": "nonintegral", "cis": "integral_noncomplement"}
 
 
-def symmetric_subsets(
-    group: FiniteGroup, reduce_conjugacy: bool = False
-) -> Iterator[SymmetricSubset]:
-    """Stream every symmetric subset of the group in counter order.
-
-    With reduce_conjugacy, only the counter-minimal representative of
-    each conjugation orbit is yielded.
-    """
+def symmetric_subsets(group: FiniteGroup) -> Iterator[SymmetricSubset]:
+    """Stream every symmetric subset of the group in counter order."""
     family = SubsetFamily.of(group)
-    perms = family.conjugation_cell_perms() if reduce_conjugacy else ()
-    for _, _, masks in _chunks(family, 0, family.subset_count, perms):
+    for _, _, masks in _chunks(family, 0, family.subset_count, ()):
         for m in masks:
             yield SymmetricSubset(group, m)
 

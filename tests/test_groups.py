@@ -137,6 +137,14 @@ def test_direct_product_structure():
     assert p.order == 6
     assert p.exponent() == 6  # coprime orders give a cyclic product
     assert p.is_abelian
+    g1, g2 = build_cached("D4"), build_cached("S3")
+    q = direct_product(g1, g2)
+    n2 = g2.order
+    assert q.order == 48
+    for a in range(q.order):
+        for b in range(q.order):
+            a1, a2, b1, b2 = a // n2, a % n2, b // n2, b % n2
+            assert q.table[a][b] == g1.table[a1][b1] * n2 + g2.table[a2][b2]
 
 
 def test_subgroup_group_roundtrip():
@@ -167,6 +175,37 @@ def test_semidirect_trivial_action_is_direct():
     assert p.exponent() == 12
 
 
-def test_validation_rejects_broken_table():
-    with pytest.raises(ValueError):
-        FiniteGroup([[0, 1], [1, 1]], names=["e", "a"], label="broken")
+# a Latin square with identity 0 that is not associative: (1*1)*2 != 1*(1*2)
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+# LOOP5 x Z17 by the direct-product index formula: order 85, past the old
+# order-64 limit of the full associativity check, and its first failing
+# row a = 17 is not in the first block of rows the check compares
+LOOP85 = [
+    [LOOP5[a // 17][b // 17] * 17 + (a + b) % 17 for b in range(85)] for a in range(85)
+]
+
+
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ([[0, 1], [1]], "table is not square"),
+        ([[0, 1, 2], [1, 2, 0]], "table is not square"),
+        ([[0, 1], [1, 1]], "row 1 is not a permutation of the elements"),
+        ([[0, 1], [0, 1]], "column 0 is not a permutation of the elements"),
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "table has no two-sided identity"),
+        (
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+            "element 2 has no two-sided inverse",
+        ),
+        (LOOP5, "associativity fails at (1,1,2)"),
+        (LOOP85, "associativity fails at (17,17,34)"),
+    ],
+    ids=[
+        "ragged", "non_square", "non_latin_row", "non_latin_column", "no_identity",
+        "one_sided_inverse", "non_associative", "non_associative_order_85",
+    ],
+)
+def test_validation_rejects_broken_table(table, message):
+    with pytest.raises(ValueError) as exc:
+        FiniteGroup(table, label="broken")
+    assert str(exc.value) == message

@@ -258,6 +258,9 @@ def test_catalog_show_requires_expr(capsys):
         (["check", "Z2", "cis", "--checkpoint", "{tmp}"], 6),
         (["check", "Z2", "cis", "--witness-limit", "0"], 2),
         (["check", "Z2", "cis", "--witness-limit", "-1"], 2),
+        (["check", "Z2", "cis", "--threads", "0"], 2),
+        (["verify", "ab", "--threads", "-3"], 2),
+        (["verify", "ab", "--force"], 2),
     ],
 )
 def test_error_exit_codes(capsys, tmp_path, argv, code):
