@@ -460,7 +460,8 @@ def _build(e: GroupExpr) -> FiniteGroup:
     except ValueError as exc:
         # builder rejected a parameter (e.g. Z0): surface as a parse error
         raise GroupParseError(str(exc)) from exc
-    return FiniteGroup(g.table, g.names, label=e.to_string())
+    g.label = e.to_string()  # _build_node returns a fresh group: relabel it in place
+    return g
 
 
 def _build_node(e: GroupExpr) -> FiniteGroup:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,11 +23,8 @@ class AsymmetricSubsetError(ValueError):
 
 
 @dataclass(frozen=True)
-class SymmetricSubset:
+class SymmetricSubset(ElementSubset):
     """An inverse-closed, identity-free subset of a group."""
-
-    group: FiniteGroup
-    bits: int
 
     def __post_init__(self) -> None:
         g, bits = self.group, self.bits
@@ -37,43 +34,11 @@ class SymmetricSubset:
             )
         if bits >> g.identity & 1:
             raise AsymmetricSubsetError("connection set must not contain the identity")
-        m = bits
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
+        for x in self:
             if not bits >> g.inverses[x] & 1:
                 raise AsymmetricSubsetError(
                     f"subset is not inverse-closed: {g.names[x]} lacks its inverse"
                 )
-            m ^= low
-
-    @classmethod
-    def of(cls, group: FiniteGroup, elems: Iterable[int]) -> "SymmetricSubset":
-        bits = 0
-        for x in elems:
-            if not 0 <= x < group.order:
-                raise ValueError(f"element index {x} out of range")
-            bits |= 1 << x
-        return cls(group, bits)
-
-    @classmethod
-    def from_names(cls, group: FiniteGroup, names: Iterable[str]) -> "SymmetricSubset":
-        return cls.of(group, (group.index_of(s) for s in names))
-
-    def members(self) -> list:
-        return [x for x in range(self.group.order) if self.bits >> x & 1]
-
-    def member_names(self) -> list:
-        return [self.group.names[x] for x in self.members()]
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.bits >> x & 1)
 
     def as_element_subset(self) -> ElementSubset:
         return ElementSubset(self.group, self.bits)

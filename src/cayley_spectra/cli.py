@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.what == "list":
-        if args.order:
+        if args.order is not None:
             pairs = catalog.all_groups_of_order(args.order)
         else:
             pairs = catalog.catalog_up_to_12()
@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("catalog", help="list or show catalog groups")
     sp.add_argument("what", choices=["list", "show"])
     sp.add_argument("expr", nargs="?", help="group expression (for show)")
-    sp.add_argument("--order", type=int, metavar="N", help="restrict list to order N")
+    sp.add_argument("--order", type=int, choices=range(1, 13), metavar="N",
+                    help="restrict list to order N, 1..12")
     sp.add_argument("--json", metavar="PATH", help="write canonical JSON here")
     sp.set_defaults(func=cmd_catalog)
 

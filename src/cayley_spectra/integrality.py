@@ -8,7 +8,8 @@ split is complete.  Scans use the engine's batched certificate instead
 most min(k, n-1-k) steps, the candidate multiplicities from one Lagrange
 product, then an annihilator check on the identity row.  Its float64
 products are integer arithmetic kept exact by the bounds stated beside
-each; no rounded float ever decides a verdict.
+each, and its moduli cover every subset, up to the engine's largest
+order, 64; no rounded float ever decides a verdict.
 
 A second engine certifies through eigenspace dimensions: for each
 integer candidate t in [-k, k] it computes mult(t) = n - rank(A - tI)
@@ -120,18 +121,21 @@ class SpectraEngine:
     mask.  The exact route, split_results(), walks traces modulo several
     primes and hands them to intlinalg's char-poly pipeline (Newton, CRT
     lift, integer-root split), the one IntMatrix.char_poly uses; it
-    serves verdict() and so the ds suite, witness detail, and the
-    capacity fallback of certify(), and the tests use each route as the
-    other's oracle.  char_polys() stops that route at the CRT lift and
-    gives the lifts suite its char polys.
+    serves verdict() and so the ds suite and witness detail, and the
+    tests use each route as the other's oracle.  char_polys() stops that
+    route at the CRT lift and gives the lifts suite its char polys.
 
     Traces come from the identity row alone: right translations are
     automorphisms acting transitively, so every power of A has constant
     diagonal and tr(A^i) = n * (A^i)[e, e].  The engine keeps no
-    reference to its group, so engine_for can cache it weakly.
+    reference to its group, so engine_for can cache it weakly.  Masks
+    are uint64 and every bound below assumes n <= 64, so a larger group
+    is rejected.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
+        if group.order > 64:
+            raise ValueError(f"spectra engine supports order at most 64, got {group.order}")
         self.n = group.order
         self.identity = group.identity
         self.xyinv = group.xy_inv_table()
@@ -230,8 +234,8 @@ class SpectraEngine:
            integral spectrum passes (by 3, T is its support) and any other
            fails.  The e-row has l1 norm at most B = prod (k + |r|), so a
            zero residue modulo moduli whose product exceeds 2B is a zero
-           over Z.  A mask whose B outruns ANNIHILATOR_MODULI goes through
-           the exact path instead: capacity never decides a verdict.
+           over Z.  ANNIHILATOR_MODULI cover 2B for every mask at n <= 64,
+           the largest order the engine accepts.
         5. A mask that passes has its spectrum in T, so its multiplicities
            solve the system of 3 over Z and the residues m are exact.
 
@@ -250,7 +254,7 @@ class SpectraEngine:
         reduced = [masks[i] ^ others if flip[i] else masks[i] for i in order_list]
         step = max(1, _ADJACENCY_BLOCK // (n * n))
         parts = [self._certify_sorted(reduced[lo : lo + step], lo) for lo in range(0, b, step)]
-        rows, roots, mults, k, integral, spill = (np.concatenate(x) for x in zip(*parts))
+        rows, roots, mults, k, integral = (np.concatenate(x) for x in zip(*parts))
         # undo step 1 on complemented masks: -1 - r for each r, one k' dropped, k added
         flipped = np.array(flip)[order]
         f = flipped[rows]
@@ -268,19 +272,14 @@ class SpectraEngine:
         for s, spec in spectra.items():
             i = order_list[s]
             out[i] = (degree[i], spec)
-        spilled = order[spill].tolist()
-        exact = self.split_results([masks[i] for i in spilled])
-        for i, (k_i, roots_i, rest) in zip(spilled, exact):
-            out[i] = (k_i, roots_i if rest.degree == 0 else None)
         return out
 
     def _certify_sorted(self, masks: Sequence[int], offset: int) -> tuple:
         """Steps 2-4 of certify on masks of degree <= (n-1)/2 sorted by degree, descending.
 
-        Returns (rows, roots, mults, k, integral, spill): the spectrum of
-        each integral mask as (row + offset, eigenvalue, multiplicity)
-        triples, the degrees, and per mask whether it is certified
-        integral or must go through the exact path.
+        Returns (rows, roots, mults, k, integral): the spectrum of each
+        integral mask as (row + offset, eigenvalue, multiplicity) triples,
+        the degrees, and per mask whether it is certified integral.
         """
         n, b, q = self.n, len(masks), float(WALK_PRIME)
         adj, k = self._adjacency(masks)
@@ -304,13 +303,9 @@ class SpectraEngine:
         ceil_log2 = np.array([(x - 1).bit_length() for x in range(2 * n)])
         bits = 1 + np.bincount(rows, weights=ceil_log2[k[rows] + np.abs(roots)], minlength=b)
         need = -(-bits.astype(np.int64) // usable)
-        need[np.bincount(rows, minlength=b) == 0] = 0
-        spill = need > len(ANNIHILATOR_MODULI)
-        need[spill] = 0
-        walk = need[rows] > 0
-        integral = _annihilates(adj, rows[walk], roots[walk], need, ANNIHILATOR_MODULI, self.identity)
+        integral = _annihilates(adj, rows, roots, need, ANNIHILATOR_MODULI, self.identity)
         keep = integral[rows]
-        return rows[keep] + offset, roots[keep], mults[keep], k, integral, spill
+        return rows[keep] + offset, roots[keep], mults[keep], k, integral
 
     def _power_sums(self, adj: np.ndarray, k: np.ndarray) -> np.ndarray:
         """P[b, j] = tr(A_b^j) mod WALK_PRIME for j <= 2 k[b], float64 in (-Q, Q).

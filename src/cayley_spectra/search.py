@@ -22,6 +22,7 @@ can checkpoint and resume.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import time
@@ -31,7 +32,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import catalog
 from .cayley import SymmetricSubset
 from .groups import FiniteGroup, is_perfect, is_subgroup
 from .integrality import bound_holds, engine_for
@@ -264,7 +264,6 @@ def _is_subgroup_mask(group: FiniteGroup, bits: int) -> bool:
 
 
 def _scan_counters(
-    group: FiniteGroup,
     family: SubsetFamily,
     property_name: str,
     start: int,
@@ -278,6 +277,7 @@ def _scan_counters(
     scan never stops early, and the returned list holds only the
     counter-least violation of each kind within the range.
     """
+    group = family.group
     engine = engine_for(group)
     perms = family.conjugation_cell_perms() if reduce_orbits else ()
     n_order = group.order
@@ -348,16 +348,6 @@ def _scan_counters(
 
 def _names(group: FiniteGroup, bits: int) -> List[str]:
     return [group.name_of(x) for x in range(group.order) if bits >> x & 1]
-
-
-def _scan_task(args: tuple) -> Tuple[ScanStats, List[Witness]]:
-    """Worker-process entry: rebuilds the group, scans one range."""
-    label, property_name, start, end, reduce_orbits, witness_limit = args
-    group = catalog.build_cached(label)
-    return _scan_counters(
-        group, SubsetFamily.of(group), property_name, start, end,
-        reduce_orbits, witness_limit,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,37 +487,26 @@ def exhaustive_scan(
                 "least_witnesses": [w.to_json_dict() for w in least.values()],
             })
 
-    if workers > 1 and start < end:
-        try:
-            rebuilt = catalog.build_cached(group.label)
-        except Exception:
-            rebuilt = None
-        if rebuilt is None or rebuilt.table != group.table:
-            workers = 1  # not reconstructible from its label in a worker
     parallel = workers > 1 and start < end
     if parallel:
         size = max(_CHUNK, ((end - start) // (workers * 8)) // _CHUNK * _CHUNK)
     else:
         size = _CHUNK * 8
     spans = [(s, min(s + size, end)) for s in range(start, end, size)]
+    scan = functools.partial(_scan_counters, family, property_name, reduce_orbits=reduce_orbits)
     with (
         ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext()
     ) as pool:
         if pool is None:
             # serial spans get the remaining limit, so they stop at the last witness
             results: Iterator[Tuple[ScanStats, List[Witness]]] = (
-                _scan_counters(
-                    group, family, property_name, s, e, reduce_orbits,
-                    None if witness_limit is None else witness_limit - len(witnesses),
-                )
+                scan(s, e, witness_limit=None if witness_limit is None
+                     else witness_limit - len(witnesses))
                 for s, e in spans
             )
         else:
-            results = pool.map(
-                _scan_task,
-                [(group.label, property_name, s, e, reduce_orbits, witness_limit)
-                 for s, e in spans],
-            )
+            # each worker unpickles the family, and with it the group
+            results = pool.map(functools.partial(scan, witness_limit=witness_limit), *zip(*spans))
         for (s, _e), (part_stats, part_wits) in zip(spans, results):
             stats.absorb(part_stats)
             for w in part_wits:

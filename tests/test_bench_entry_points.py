@@ -34,3 +34,13 @@ def test_tracer_entry_point_resolves(modname, path, layer):
     assert raw is not None, f"{modname}.{path} ({layer}) is gone"
     func = raw.__func__ if isinstance(raw, (classmethod, staticmethod)) else raw
     assert callable(func), f"{modname}.{path} ({layer}) is not callable"
+
+
+def test_scan_counters_binds_its_range_by_name():
+    """The tracer's search.predicate hook reads the range a _scan_counters
+    call covers from its start and end arguments, by name; without them
+    it counts no subsets and says nothing."""
+    from cayley_spectra import search
+
+    params = inspect.signature(search._scan_counters).parameters
+    assert {"start", "end"} <= set(params)

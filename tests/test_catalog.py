@@ -12,6 +12,7 @@ from cayley_spectra.catalog import (
     parse_group_expr,
     permutations_of,
 )
+from cayley_spectra.groups import FiniteGroup
 
 # classical counts of isomorphism classes per order
 COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1, 12: 5}
@@ -163,3 +164,22 @@ def test_product_label_roundtrip():
     assert g.order == 16
     assert g.label == "Z2^2xZ4"
     assert g.is_abelian and g.exponent() == 4
+
+
+@pytest.mark.parametrize(
+    "expr,labels", [("Z2^6", ["Z2^6"]), ("Q8xZ2^3", ["Q8", "Z2^3", "Q8xZ2^3"])]
+)
+def test_build_checks_each_group_once(monkeypatch, expr, labels):
+    """Each group is built, and so has its axioms checked, once: the
+    result is relabelled in place rather than rebuilt."""
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.label)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    g = build(parse_group_expr(expr))
+    assert g.label == expr
+    assert built == labels

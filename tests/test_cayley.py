@@ -27,6 +27,12 @@ def test_subset_validation():
     s = SymmetricSubset.of(g, [1, 5, 3])
     assert len(s) == 3
     assert s.member_names() == ["1", "3", "5"]
+    with pytest.raises(AsymmetricSubsetError, match=r"^bitmask 0x40 out of range for order 6$"):
+        SymmetricSubset(g, 1 << 6)
+    with pytest.raises(ValueError, match="element index 7 out of range"):
+        SymmetricSubset.of(g, [7])
+    assert s != ElementSubset(g, s.bits)
+    assert s.as_element_subset() == ElementSubset(g, s.bits)
 
 
 def test_adjacency_symmetric_and_regular():

@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from cayley_spectra import integrality
 from cayley_spectra.catalog import build_cached, catalog_up_to_12
-from cayley_spectra.groups import FiniteGroup, derived_subgroup
-from cayley_spectra.integrality import ANNIHILATOR_MODULI, WALK_PRIME, SpectraEngine, engine_for
+from cayley_spectra.cayley import CayleyGraph
+from cayley_spectra.groups import FiniteGroup, derived_subgroup, direct_product
+from cayley_spectra.integrality import ANNIHILATOR_MODULI, WALK_PRIME, engine_for, verdict
 from cayley_spectra.search import SubsetFamily, _masks_of_counters, exhaustive_scan
 
 PREFIX = 1 << 12
@@ -225,48 +226,16 @@ def test_integral_count_closed_form(label):
     assert gv.stats.integral_count == 2 ** (c - 1)
 
 
-# ---------------------------------------------------------------------------
-# capacity: the annihilator bound past the primes falls back to the exact path
-# ---------------------------------------------------------------------------
-
-
-def _exact_certify(self, masks):
-    return [(k, roots if rest.degree == 0 else None) for k, roots, rest in self.split_results(masks)]
-
-
-def _scan_outcome(g, prop):
-    gv = exhaustive_scan(g, prop, witness_limit=None)
-    return gv.stats.to_json_dict() | {"wall_time_ms": 0}, [w.to_json_dict() for w in gv.least_witnesses]
-
-
-@pytest.mark.parametrize(
-    "label,prop",
-    [("D6", "cis"), ("D6", "cayley_integral"), ("SL2_3", "cis"), ("S3xZ3", "cayley_integral")],
-)
-def test_capacity_fallback_matches_exact_path(monkeypatch, label, prop):
-    g = build_cached(label)
-    with monkeypatch.context() as m:
-        m.setattr(SpectraEngine, "certify", _exact_certify)
-        want = _scan_outcome(g, prop)
-    # two 10-bit annihilator moduli: every mask whose bound 2 * prod(k + |r|)
-    # needs more than 18 bits goes through the exact path, and masks that
-    # need 10 to 18 bits use both moduli
-    monkeypatch.setattr(integrality, "ANNIHILATOR_MODULI", (1021, 1019))
-    engine = engine_for(g)
-    masks = _counter_masks(g, SubsetFamily.of(g).subset_count)
-    exact = _exact_certify(engine, masks)
-    spilled = []
-    split = SpectraEngine.split_results
-
-    def counting_split(self, masks):
-        spilled.extend(masks)
-        return split(self, masks)
-
-    with monkeypatch.context() as m:
-        m.setattr(SpectraEngine, "split_results", counting_split)
-        assert engine.certify(masks) == exact
-    assert spilled, "no mask reached the capacity fallback"
-    assert _scan_outcome(g, prop) == want
+def test_engine_rejects_order_above_64():
+    """Masks are uint64 and every bound of certify assumes n <= 64, the
+    order test_annihilator_moduli_coprime_and_cover proves covered."""
+    z9 = build_cached("Z9")
+    g = direct_product(z9, z9)
+    with pytest.raises(ValueError, match="at most 64"):
+        engine_for(g)
+    for names in (["0.1", "0.8"], ["1.0", "8.0"]):  # masks below and past bit 64
+        with pytest.raises(ValueError, match="at most 64"):
+            verdict(CayleyGraph.from_names(g, names))
 
 
 def test_engine_cache_is_weak():

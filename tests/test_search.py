@@ -1,12 +1,14 @@
 """Exhaustive scans: families, reduction, checkpoints, witnesses."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from cayley_spectra import search
 from cayley_spectra.catalog import build_cached, catalog_up_to_12
 from cayley_spectra.cayley import CayleyGraph, SymmetricSubset
-from cayley_spectra.groups import is_subgroup
+from cayley_spectra.groups import derived_subgroup, is_subgroup, subgroup_group
 from cayley_spectra.integrality import verdict
 from cayley_spectra.search import (
     ScanCapExceeded,
@@ -218,6 +220,30 @@ def test_tally_least_witness_is_first_unreduced_witness(label, prop):
         least = tally.least_witness(first.kind)
         assert least is not None
         assert (least.counter, least.bits) == (first.counter, first.bits)
+
+
+def test_workers_scan_a_group_outside_the_catalog(monkeypatch):
+    """Workers take the group from the scan itself, so a group that no
+    catalog expression names (here A4 inside S4) still runs in the pool."""
+    s4 = build_cached("S4")
+    g, _ = subgroup_group(s4, derived_subgroup(s4))
+    assert (g.label, SubsetFamily.of(g).subset_count) == ("S4<12>", 128)
+    serial = exhaustive_scan(g, "cayley_integral", workers=1, witness_limit=None)
+    pools = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SpyPool)
+    pooled = exhaustive_scan(g, "cayley_integral", workers=2, witness_limit=None)
+    assert pools == [2]
+    a, b = pooled.stats.to_json_dict(), serial.stats.to_json_dict()
+    a.pop("wall_time_ms")
+    b.pop("wall_time_ms")
+    assert a == b
+    assert pooled.least_witnesses == serial.least_witnesses and serial.least_witnesses
 
 
 def test_resume_across_worker_counts(tmp_path):

@@ -261,6 +261,9 @@ def test_catalog_show_requires_expr(capsys):
         (["check", "Z2", "cis", "--threads", "0"], 2),
         (["verify", "ab", "--threads", "-3"], 2),
         (["verify", "ab", "--force"], 2),
+        (["catalog", "list", "--order", "0"], 2),
+        (["catalog", "list", "--order", "13"], 2),
+        (["catalog", "list", "--order", "-1"], 2),
     ],
 )
 def test_error_exit_codes(capsys, tmp_path, argv, code):
