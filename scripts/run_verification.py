@@ -10,15 +10,22 @@ import pathlib
 import sys
 import time
 
+from cayley_spectra.cli import _positive_int
 from cayley_spectra.suites import SUITE_NAMES, run_suite
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("suites", nargs="*", default=[], help="suite names (default: all)")
-    ap.add_argument("--threads", type=int, default=1)
+    # checked below: Python 3.11's argparse also tests an empty nargs="*"
+    # list against choices, so choices=SUITE_NAMES would reject no names
+    ap.add_argument("suites", nargs="*", metavar="SUITE",
+                    help=f"suite names from {', '.join(SUITE_NAMES)} (default: all)")
+    ap.add_argument("--threads", type=_positive_int, default=1)
     ap.add_argument("--reports-dir", default=None)
     args = ap.parse_args()
+    unknown = [s for s in args.suites if s not in SUITE_NAMES]
+    if unknown:
+        ap.error(f"unknown suite {unknown[0]!r}; choose from {', '.join(SUITE_NAMES)}")
 
     names = args.suites or list(SUITE_NAMES)
     out_dir = pathlib.Path(

@@ -8,13 +8,21 @@ automorphisms, hence every Cayley graph here is vertex-transitive.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import ElementSubset, FiniteGroup, closure, is_normal, is_subgroup, quotient
+from .groups import (
+    ElementSubset,
+    FiniteGroup,
+    closure,
+    direct_product,
+    is_subgroup,
+    quotient,
+)
 from .intlinalg import IntMatrix
 
 
@@ -189,6 +197,13 @@ def lift_preimage(
     return SymmetricSubset(g, bits)
 
 
+# direct products by factor pair, weakly keyed: a product holds no
+# reference to its factors, so it lives as long as both of them do
+_PRODUCTS: "weakref.WeakKeyDictionary[FiniteGroup, weakref.WeakKeyDictionary]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def union_product_subset(
     a: FiniteGroup, b: FiniteGroup, s1: SymmetricSubset, s2: SymmetricSubset
 ) -> Tuple[FiniteGroup, SymmetricSubset]:
@@ -196,13 +211,14 @@ def union_product_subset(
 
     The resulting graph is the Cartesian product of the factors: its
     adjacency matrix is A1 kron I + I kron A2, so its eigenvalues are all
-    pairwise sums.
+    pairwise sums.  The product is built once per factor pair.
     """
-    from .groups import direct_product
-
     if s1.group is not a or s2.group is not b:
         raise ValueError("subsets must live in their respective factors")
-    prod = direct_product(a, b)
+    by_second = _PRODUCTS.setdefault(a, weakref.WeakKeyDictionary())
+    prod = by_second.get(b)
+    if prod is None:
+        prod = by_second[b] = direct_product(a, b)
     bits = 0
     for x in s1:
         bits |= 1 << (x * b.order + b.identity)

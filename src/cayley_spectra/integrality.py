@@ -148,7 +148,7 @@ class SpectraEngine:
         contiguous matrix for BLAS.  Masks are uint64, so n <= 64.
         """
         n = self.n
-        arr = np.array([int(m) for m in masks], dtype=np.uint64)
+        arr = np.asarray(masks, dtype=np.uint64)
         membership = (
             (arr[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
         ).astype(np.float64)
@@ -203,12 +203,17 @@ class SpectraEngine:
         coeff, primes, _ = self._coeff_residues(masks)
         return crt_lift(coeff, primes)
 
-    def certify(self, masks: Sequence[int]) -> List[Tuple[int, Optional[Dict[int, int]]]]:
-        """(degree, exact spectrum, or None when non-integral) per mask, in input order.
+    def certify(self, masks: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(degree, integral, rows, roots, mults) for a batch of masks, in input order.
 
-        Each S is inverse-closed and misses the identity, as every scanned
-        subset does.  Every stage is an exact float64 product: no char
-        poly, no Newton, no big integer per mask.
+        masks is a uint64 array (or a sequence of ints); each S is
+        inverse-closed and misses the identity, as every scanned subset
+        does.  degree[i] is |S_i| and integral[i] says whether its
+        spectrum is certified integral.  The spectra of the integral masks
+        come flat: mask rows[j] has eigenvalue roots[j] with multiplicity
+        mults[j] > 0, rows ascending and each row's roots descending.  No
+        dict or tuple is built per mask.  Every stage is an exact float64
+        product: no char poly, no Newton, no big integer per mask.
 
         1. Complement.  If 2k > n - 1, certify S' = G - (S + {e}) of degree
            k' = n - 1 - k <= (n - 1)/2 instead.  A + A' = J - I and both
@@ -243,38 +248,35 @@ class SpectraEngine:
         at any stage form a prefix, and certified in slices whose adjacency
         holds at most _ADJACENCY_BLOCK floats.
         """
-        if not masks:
-            return []
+        masks = np.ascontiguousarray(masks, dtype=np.uint64)
         n, b = self.n, len(masks)
-        others = ((1 << n) - 1) ^ (1 << self.identity)
-        degree = [int(m).bit_count() for m in masks]
-        flip = [2 * k > n - 1 for k in degree]
-        order = np.argsort([k + 1 - n if f else -k for k, f in zip(degree, flip)], kind="stable")
-        order_list = order.tolist()
-        reduced = [masks[i] ^ others if flip[i] else masks[i] for i in order_list]
+        degree = np.unpackbits(masks.view(np.uint8)).reshape(b, 64).sum(axis=1, dtype=np.int64)
+        if not b:
+            return degree, np.zeros(0, dtype=bool), degree, degree, degree
+        others = np.uint64(((1 << n) - 1) ^ (1 << self.identity))
+        flip = 2 * degree > n - 1
+        order = np.argsort(np.where(flip, degree + 1 - n, -degree), kind="stable")
+        reduced = np.where(flip, masks ^ others, masks)[order]
         step = max(1, _ADJACENCY_BLOCK // (n * n))
         parts = [self._certify_sorted(reduced[lo : lo + step], lo) for lo in range(0, b, step)]
         rows, roots, mults, k, integral = (np.concatenate(x) for x in zip(*parts))
         # undo step 1 on complemented masks: -1 - r for each r, one k' dropped, k added
-        flipped = np.array(flip)[order]
+        flipped = flip[order]
         f = flipped[rows]
         mults -= f & (roots == k[rows])
         roots[f] = -1 - roots[f]
         top = np.flatnonzero(flipped & integral)
-        rows = np.concatenate([rows, top])
+        rows = order[np.concatenate([rows, top])]
         roots = np.concatenate([roots, n - 1 - k[top]])
         mults = np.concatenate([mults, np.ones(len(top), dtype=np.int64)])
-        spectra: Dict[int, Dict[int, int]] = {s: {} for s in np.flatnonzero(integral).tolist()}
-        for s, r, m in zip(rows.tolist(), roots.tolist(), mults.tolist()):
-            if m:
-                spectra[s][r] = m
-        out: List[Tuple[int, Optional[Dict[int, int]]]] = [(k_i, None) for k_i in degree]
-        for s, spec in spectra.items():
-            i = order_list[s]
-            out[i] = (degree[i], spec)
-        return out
+        # by row, then by root descending: n - r lies in [1, 2n - 1]
+        by_row = np.argsort(rows * 2 * n + n - roots)
+        by_row = by_row[mults[by_row] > 0]
+        in_order = np.empty(b, dtype=bool)
+        in_order[order] = integral
+        return degree, in_order, rows[by_row], roots[by_row], mults[by_row]
 
-    def _certify_sorted(self, masks: Sequence[int], offset: int) -> tuple:
+    def _certify_sorted(self, masks: np.ndarray, offset: int) -> tuple:
         """Steps 2-4 of certify on masks of degree <= (n-1)/2 sorted by degree, descending.
 
         Returns (rows, roots, mults, k, integral): the spectrum of each

@@ -33,8 +33,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cayley import SymmetricSubset
-from .groups import FiniteGroup, is_perfect, is_subgroup
-from .integrality import bound_holds, engine_for
+from .groups import FiniteGroup, is_perfect
+from .integrality import SpectraEngine, bound_holds, engine_for
 
 SCAN_ORDER_CAP = 32
 _CHUNK = 2048
@@ -112,21 +112,38 @@ class SubsetFamily:
 
 
 def _canonical_keep(counters: np.ndarray, perms: Sequence[Tuple[int, ...]]) -> np.ndarray:
-    """True where the counter is minimal in its conjugation orbit."""
-    keep = np.ones(len(counters), dtype=bool)
-    ident = tuple(range(len(perms[0]) if perms else 0))
-    for p in perms:
-        if p == ident:
-            continue
-        permuted = np.zeros_like(counters)
-        for i, pi in enumerate(p):
-            permuted |= ((counters >> i) & 1) << pi
-        keep &= permuted >= counters
-    return keep
+    """True where the counter is minimal in its conjugation orbit.
+
+    Each permutation maps a counter byte by byte through _byte_tables:
+    one table lookup per byte and permutation.
+    """
+    c = np.asarray(counters, dtype=np.uint64)
+    tables = _byte_tables(tuple(perms))
+    permuted = np.zeros((len(tables), len(c)), dtype=np.uint64)
+    for i in range(tables.shape[1]):
+        byte = ((c >> np.uint64(8 * i)) & np.uint64(0xFF)).astype(np.intp)
+        permuted |= tables[:, i, byte]
+    return (permuted >= c).all(axis=0)
+
+
+@functools.lru_cache(maxsize=8)
+def _byte_tables(perms: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
+    """T[p, i, v]: the counter bits that bits v of counter byte i map to
+    under cell permutation p, for every permutation but the identity,
+    which keeps every counter.  Built on a scan's first chunk."""
+    cells = len(perms[0]) if perms else 0
+    moved = [p for p in perms if p != tuple(range(cells))]
+    width = -(-cells // 8) * 8
+    image = np.zeros((len(moved), width), dtype=np.uint64)
+    image[:, :cells] = np.uint64(1) << np.array(moved, dtype=np.uint64).reshape(-1, cells)
+    bits = ((np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1).astype(np.uint64)
+    tables = image.reshape(len(moved), width // 8, 8) @ bits  # distinct bits: the sum is the OR
+    tables.setflags(write=False)  # shared by every caller through the cache
+    return tables
 
 
 def _masks_of_counters(counters: np.ndarray, cell_masks: Sequence[int]) -> np.ndarray:
-    cu = counters.astype(np.uint64)
+    cu = np.asarray(counters, dtype=np.uint64)
     masks = np.zeros(len(counters), dtype=np.uint64)
     one = np.uint64(1)
     for i, cm in enumerate(cell_masks):
@@ -136,20 +153,20 @@ def _masks_of_counters(counters: np.ndarray, cell_masks: Sequence[int]) -> np.nd
 
 def _chunks(
     family: SubsetFamily, start: int, end: int, perms: Sequence[Tuple[int, ...]]
-) -> Iterator[Tuple[int, np.ndarray, List[int]]]:
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """(counters enumerated, kept counters, their masks) per chunk of [start, end).
 
-    With more than one cell permutation in perms, only the counter-minimal
-    member of each conjugation orbit is kept.
+    Counters and masks are uint64 arrays.  With more than one cell
+    permutation in perms, only the counter-minimal member of each
+    conjugation orbit is kept.
     """
     cell_masks = family.cell_masks()
     for cs in range(start, end, _CHUNK):
-        counters = np.arange(cs, min(cs + _CHUNK, end), dtype=np.int64)
+        counters = np.arange(cs, min(cs + _CHUNK, end), dtype=np.uint64)
         enumerated = len(counters)
         if len(perms) > 1:
             counters = counters[_canonical_keep(counters, perms)]
-        masks = _masks_of_counters(counters, cell_masks)
-        yield enumerated, counters, [int(m) for m in masks]
+        yield enumerated, counters, _masks_of_counters(counters, cell_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +273,21 @@ class GroupVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _is_subgroup_mask(group: FiniteGroup, bits: int) -> bool:
-    size = bits.bit_count()
-    if size == 0 or group.order % size:
-        return False
-    return is_subgroup(group, bits)
+def _complement_subgroups(masks: np.ndarray, degree: np.ndarray, xyinv: np.ndarray) -> np.ndarray:
+    """Per identity-free mask S, is H = G - S a subgroup?
+
+    |H| = n - |S| must divide n, and then x y^-1 must lie in H for all
+    x, y in H, read off xyinv[x, y] = x y^-1, one x at a time.
+    """
+    n = len(xyinv)
+    out = np.zeros(len(masks), dtype=bool)
+    rows = np.flatnonzero(n % (n - degree) == 0)
+    outside = ((masks[rows, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    closed = np.ones(len(rows), dtype=bool)
+    for x in range(n):
+        closed &= outside[:, x] | (outside | ~outside[:, xyinv[x]]).all(axis=1)
+    out[rows] = closed
+    return out
 
 
 def _scan_counters(
@@ -275,75 +302,93 @@ def _scan_counters(
 
     witness_limit None means tally mode: every violation is counted, the
     scan never stops early, and the returned list holds only the
-    counter-least violation of each kind within the range.
+    counter-least violation of each kind within the range.  Otherwise
+    the list holds the first witness_limit violations, and the chunk
+    that reaches the limit is tallied only up to its last witness (its
+    subsets_enumerated and reduced_count count the whole chunk).
+
+    Each chunk stays in numpy from counter to tally, with certify's
+    arrays: a mask is connected when eigenvalue k = |S| has multiplicity
+    1; the weak and strong bounds are bound_holds tabulated over k =
+    0..n-1, the strong one checked where G is perfect or S meets
+    odd_mask; cis asks _complement_subgroups.  Python sees only the rows
+    that become witnesses.
     """
     group = family.group
     engine = engine_for(group)
     perms = family.conjugation_cell_perms() if reduce_orbits else ()
     n_order = group.order
-    full = (1 << n_order) - 1
-    odd_mask = sum(
+    odd_mask = np.uint64(sum(
         1 << x
         for x in group.elements()
         if x != group.identity and group.element_order(x) % 2 == 1
-    )
+    ))
     perfect = is_perfect(group)
+    weak_ok, strong_ok = np.array([bound_holds(n_order, k, True) for k in range(n_order)]).T
     stats = ScanStats()
     witnesses: List[Witness] = []
     cis = property_name == "cis"
-    for enumerated, counters, mask_list in _chunks(family, start, end, perms):
+    for enumerated, counters, masks in _chunks(family, start, end, perms):
         stats.subsets_enumerated += enumerated
-        results = engine.certify(mask_list)
-        stats.reduced_count += len(results)
-        for counter, mask, (k, spectrum) in zip(counters, mask_list, results):
-            integral = spectrum is not None
-            if integral:
-                stats.integral_count += 1
-                if spectrum.get(k, 0) == 1:  # connected
-                    strong_applies = perfect or mask & odd_mask != 0
-                    weak, strong = bound_holds(n_order, k, strong_applies)
-                    stats.bound_checked += 1
-                    stats.bound_weak_violations += not weak
-                    stats.bound_strong_checked += strong_applies
-                    stats.bound_strong_violations += not strong
-            else:
-                stats.nonintegral_count += 1
-            kind = None
-            if cis:
-                comp = full & ~mask  # subset is identity-free, so this keeps the identity
-                comp_subgroup = _is_subgroup_mask(group, comp)
-                if integral:
-                    if spectrum.get(k, 0) == 1 and not comp_subgroup:
-                        kind = "integral_noncomplement"
-                elif comp_subgroup:
-                    kind = "subgroup_complement_nonintegral"
-            elif not integral:
-                kind = "nonintegral"
-            if kind is None:
-                continue
-            stats.property_violations += 1
-            if witness_limit is None and any(w.kind == kind for w in witnesses):
-                continue  # counters ascend, so the first of each kind is the least
-            if integral:
-                detail = {
-                    "spectrum": {
-                        str(r): m for r, m in sorted(spectrum.items(), reverse=True)
-                    },
-                    "complement_with_identity": _names(group, comp),
-                }
-            else:
-                # the exact path, for the few masks that become witnesses
-                detail = {"remainder_degree": engine.split_results([mask])[0][2].degree}
-            if kind == "nonintegral":
-                detail["float_evidence"] = [
-                    round(v, 9) for v in engine._float_evidence(mask)
-                ]
-            witnesses.append(
-                Witness(kind, int(counter), mask, tuple(_names(group, mask)), detail)
-            )
-            if witness_limit is not None and len(witnesses) >= witness_limit:
-                return stats, witnesses
+        stats.reduced_count += len(masks)
+        degree, integral, rows, roots, mults = engine.certify(masks)
+        top = roots == degree[rows]
+        connected = np.zeros(len(masks), dtype=bool)
+        connected[rows[top]] = mults[top] == 1
+        if cis:
+            comp_subgroup = _complement_subgroups(masks, degree, engine.xyinv)
+            kinds = {
+                "integral_noncomplement": connected & ~comp_subgroup,
+                "subgroup_complement_nonintegral": ~integral & comp_subgroup,
+            }
+        else:
+            kinds = {"nonintegral": ~integral}
+        violating = np.logical_or.reduce(list(kinds.values()))
+        if witness_limit is None:
+            # counters ascend, so the first of each kind is the least
+            found = {w.kind for w in witnesses}
+            firsts = (np.flatnonzero(v)[:1] for kind, v in kinds.items() if kind not in found)
+            take = sorted(i for first in firsts for i in first.tolist())
+            cut = len(masks)
+        else:
+            take = np.flatnonzero(violating)[: witness_limit - len(witnesses)].tolist()
+            cut = take[-1] + 1 if len(witnesses) + len(take) >= witness_limit else len(masks)
+        integral, connected, violating = integral[:cut], connected[:cut], violating[:cut]
+        stats.integral_count += int(integral.sum())
+        stats.nonintegral_count += cut - int(integral.sum())
+        stats.property_violations += int(violating.sum())
+        k = degree[:cut][connected]
+        strong_applies = perfect | (masks[:cut][connected] & odd_mask != 0)
+        stats.bound_checked += len(k)
+        stats.bound_weak_violations += int((~weak_ok[k]).sum())
+        stats.bound_strong_checked += int(strong_applies.sum())
+        stats.bound_strong_violations += int((strong_applies & ~strong_ok[k]).sum())
+        for i in take:
+            kind = next(kind for kind, v in kinds.items() if v[i])
+            lo, hi = np.searchsorted(rows, (i, i + 1))
+            spectrum = dict(zip(roots[lo:hi].tolist(), mults[lo:hi].tolist()))
+            mask = int(masks[i])
+            witnesses.append(_witness(engine, group, kind, int(counters[i]), mask, spectrum))
+        if witness_limit is not None and len(witnesses) >= witness_limit:
+            break
     return stats, witnesses
+
+
+def _witness(
+    engine: SpectraEngine, group: FiniteGroup, kind: str, counter: int, mask: int, spectrum: dict
+) -> Witness:
+    """The witness of one violating mask; spectrum is empty unless it is integral."""
+    if spectrum:
+        detail = {
+            "spectrum": {str(r): m for r, m in spectrum.items()},
+            "complement_with_identity": _names(group, ((1 << group.order) - 1) & ~mask),
+        }
+    else:
+        # the exact path, for the few masks that become witnesses
+        detail = {"remainder_degree": engine.split_results([mask])[0][2].degree}
+    if kind == "nonintegral":
+        detail["float_evidence"] = [round(v, 9) for v in engine._float_evidence(mask)]
+    return Witness(kind, counter, mask, tuple(_names(group, mask)), detail)
 
 
 def _names(group: FiniteGroup, bits: int) -> List[str]:
@@ -580,7 +625,7 @@ def symmetric_subsets(group: FiniteGroup) -> Iterator[SymmetricSubset]:
     """Stream every symmetric subset of the group in counter order."""
     family = SubsetFamily.of(group)
     for _, _, masks in _chunks(family, 0, family.subset_count, ()):
-        for m in masks:
+        for m in masks.tolist():
             yield SymmetricSubset(group, m)
 
 

@@ -490,7 +490,7 @@ def _draw_union(rng: random.Random, pair: Tuple[str, str]) -> tuple:
 def _suite_lifts(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[dict]]:
     rng = random.Random(LIFT_SEED)
     pool = _catalog_labels_12() + list(LIFT_POOL_EXTRA)
-    # direct products are rebuilt per instance, so keep them small
+    # keep the direct products small: each pair drawn builds its own
     order = {lbl: catalog.build_cached(lbl).order for lbl in pool}
     pairs = [(a, b) for a in pool for b in pool if order[a] * order[b] <= 36]
     table = (

@@ -14,7 +14,7 @@ from cayley_spectra.cayley import (
     lift_preimage,
     union_product_subset,
 )
-from cayley_spectra.groups import ElementSubset, closure, quotient
+from cayley_spectra.groups import ElementSubset, FiniteGroup, closure, direct_product, quotient
 from cayley_spectra.intlinalg import IntMatrix, IntPolynomial
 
 
@@ -154,6 +154,28 @@ def test_union_product_is_kronecker_sum():
     ab = CayleyGraph(b, s2).adjacency_matrix()
     want = aa.kron(IntMatrix.identity(4)) + IntMatrix.identity(3).kron(ab)
     assert CayleyGraph(prod, t).adjacency_matrix() == want
+
+
+def test_union_product_built_once_per_factor_pair(monkeypatch):
+    """Each factor pair's product is built once; another factor, even
+    with an equal table, gets its own."""
+    from cayley_spectra import cayley
+
+    built = []
+
+    def spy(g1, g2):
+        built.append((g1.label, g2.label))
+        return direct_product(g1, g2)
+
+    monkeypatch.setattr(cayley, "direct_product", spy)
+    # fresh groups: the lifts suite may already have built the catalog's product
+    a, b = (FiniteGroup(build_cached(lbl).table, label=lbl) for lbl in ("Z3", "S3"))
+    cells = [SymmetricSubset.of(a, [1, 2]), SymmetricSubset.of(a, [])]
+    prods = {union_product_subset(a, b, s1, SymmetricSubset.of(b, []))[0] for s1 in cells}
+    assert len(prods) == 1 and built == [("Z3", "S3")]
+    c = FiniteGroup(b.table, label="S3")  # an equal table, but another group
+    prod, t = union_product_subset(a, c, cells[0], SymmetricSubset.of(c, []))
+    assert prod not in prods and t.group is prod and len(built) == 2
 
 
 def test_complement_with_identity():

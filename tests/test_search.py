@@ -3,13 +3,14 @@
 import json
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from cayley_spectra import search
 from cayley_spectra.catalog import build_cached, catalog_up_to_12
 from cayley_spectra.cayley import CayleyGraph, SymmetricSubset
-from cayley_spectra.groups import derived_subgroup, is_subgroup, subgroup_group
-from cayley_spectra.integrality import verdict
+from cayley_spectra.groups import derived_subgroup, is_perfect, is_subgroup, subgroup_group
+from cayley_spectra.integrality import bound_holds, engine_for, verdict
 from cayley_spectra.search import (
     ScanCapExceeded,
     SubsetFamily,
@@ -267,3 +268,110 @@ def test_resume_across_worker_counts(tmp_path):
     for s in (cut.stats, resumed.stats, fresh.stats):
         d = s.to_json_dict()
         assert _stats_from_json(d).to_json_dict() == d
+
+
+# ---------------------------------------------------------------------------
+# the array scan against per-subset references
+# ---------------------------------------------------------------------------
+
+
+def _keep_by_bits(counters, perms):
+    """Orbit filter moving one counter bit per cell and permutation."""
+    keep = np.ones(len(counters), dtype=bool)
+    for p in perms:
+        permuted = np.zeros_like(counters)
+        for i, pi in enumerate(p):
+            permuted |= ((counters >> i) & 1) << pi
+        keep &= permuted >= counters
+    return keep
+
+
+@pytest.mark.parametrize("label", ["S3", "D4", "Q8", "A4", "D6", "Dic12", "SL2_3", "S4"])
+def test_byte_table_orbit_filter_matches_per_bit(label):
+    family = SubsetFamily.of(build_cached(label))
+    perms = family.conjugation_cell_perms()
+    counters = np.arange(family.subset_count, dtype=np.int64)
+    want = _keep_by_bits(counters, perms)
+    assert search._canonical_keep(counters.astype(np.uint64), perms).tolist() == want.tolist()
+
+
+def _reference_scan(g, prop, reduce_orbits, witness_limit):
+    """(stats less wall_time_ms, witnesses as JSON) of a scan, one subset
+    at a time from the exact route, is_subgroup and bound_holds.  Every
+    group here fits in one chunk, so a scan that reaches witness_limit
+    tallies up to its last witness."""
+    family = SubsetFamily.of(g)
+    assert family.subset_count <= search._CHUNK
+    n, full = g.order, (1 << g.order) - 1
+    counters = np.arange(family.subset_count, dtype=np.int64)
+    if reduce_orbits:
+        counters = counters[_keep_by_bits(counters, family.conjugation_cell_perms())]
+    masks = [family.mask_of_counter(c) for c in counters.tolist()]
+    stats = {f: 0 for f in search.ScanStats().to_json_dict() if f != "wall_time_ms"}
+    stats["subsets_enumerated"], stats["reduced_count"] = family.subset_count, len(masks)
+    witnesses = []
+    names = lambda bits: [g.name_of(x) for x in range(n) if bits >> x & 1]  # noqa: E731
+    for c, m, (k, roots, rest) in zip(counters.tolist(), masks, engine_for(g).split_results(masks)):
+        integral = rest.degree == 0
+        connected = integral and roots.get(k) == 1
+        comp_subgroup = is_subgroup(g, full & ~m)
+        stats["integral_count" if integral else "nonintegral_count"] += 1
+        if connected:
+            odd = any(g.element_order(x) % 2 for x in range(n) if m >> x & 1)
+            strong_applies = is_perfect(g) or odd
+            weak, strong = bound_holds(n, k, strong_applies)
+            stats["bound_checked"] += 1
+            stats["bound_weak_violations"] += not weak
+            stats["bound_strong_checked"] += strong_applies
+            stats["bound_strong_violations"] += not strong
+        if prop == "cayley_integral":
+            kind = None if integral else "nonintegral"
+        elif connected and not comp_subgroup:
+            kind = "integral_noncomplement"
+        else:
+            kind = "subgroup_complement_nonintegral" if not integral and comp_subgroup else None
+        if kind is None:
+            continue
+        stats["property_violations"] += 1
+        if integral:
+            detail = {
+                "spectrum": {str(r): e for r, e in sorted(roots.items(), reverse=True)},
+                "complement_with_identity": names(full & ~m),
+            }
+        else:
+            detail = {"remainder_degree": rest.degree}
+        if kind == "nonintegral":
+            v = verdict(CayleyGraph(g, SymmetricSubset(g, m)))
+            detail["float_evidence"] = [round(x, 9) for x in v.float_evidence]
+        witnesses.append(
+            {"kind": kind, "counter": c, "bits": hex(m), "subset": names(m), "detail": detail}
+        )
+        if len(witnesses) == witness_limit:
+            break
+    return stats, witnesses
+
+
+@pytest.mark.parametrize("label", [expr for expr, _ in catalog_up_to_12()])
+def test_array_scan_matches_per_subset_reference(label):
+    g = build_cached(label)
+    for prop in ("cayley_integral", "cis"):
+        for reduce_orbits in (True, False):
+            for witness_limit in (None, 3):
+                gv = exhaustive_scan(
+                    g, prop, reduce_orbits=reduce_orbits, witness_limit=witness_limit
+                )
+                stats, witnesses = _reference_scan(g, prop, reduce_orbits, witness_limit)
+                case = (prop, reduce_orbits, witness_limit)
+                got = gv.stats.to_json_dict()
+                got.pop("wall_time_ms")
+                assert got == stats, case
+                if witness_limit is None:  # the least witness of each kind
+                    firsts = {}
+                    for w in witnesses:
+                        firsts.setdefault(w["kind"], w)
+                    assert gv.witnesses == (), case
+                    least = [w.to_json_dict() for w in gv.least_witnesses]
+                    assert least == list(firsts.values()), case
+                else:
+                    assert [w.to_json_dict() for w in gv.witnesses] == witnesses, case
+                assert gv.holds is (not witnesses), case

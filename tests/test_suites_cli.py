@@ -1,6 +1,9 @@
 """Verification suites and the command-line front end."""
 
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -275,6 +278,23 @@ def test_error_exit_codes(capsys, tmp_path, argv, code):
         rc = e.code
     capsys.readouterr()
     assert rc == code
+
+
+@pytest.mark.parametrize(
+    "argv", [["--threads", "-3"], ["--threads", "0"], ["nope"], ["ab", "nope"]]
+)
+def test_run_verification_rejects_bad_arguments(monkeypatch, capsys, tmp_path, argv):
+    """scripts/run_verification.py exits 2 before running any suite."""
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(script), *argv, "--reports-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
