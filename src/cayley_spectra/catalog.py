@@ -205,16 +205,13 @@ def dicyclic12() -> FiniteGroup:
     Built as Z3 x| Z4 with the generator of Z4 inverting; element x^a y^b
     is indexed a*4 + b and named like "x2y3".
     """
-    z3, z4 = cyclic(3), cyclic(4)
-    invert = (0, 2, 1)
-    g = semidirect_product(z3, z4, {1: invert})
     names = []
     for a in range(3):
         for b in range(4):
             xp = "" if a == 0 else ("x" if a == 1 else f"x{a}")
             yp = "" if b == 0 else ("y" if b == 1 else f"y{b}")
             names.append((xp + yp) or "1")
-    return FiniteGroup(g.table, names, label="Dic12")
+    return semidirect_product(cyclic(3), cyclic(4), {1: (0, 2, 1)}, names, "Dic12")
 
 
 def e9_semidirect() -> FiniteGroup:
@@ -286,9 +283,7 @@ def zp_zq_semidirect(p: int, q: int, r: int) -> FiniteGroup:
         raise ValueError(f"SD({p},{q},{r}): twist r must be in 1..{p - 1}")
     if pow(r, q, p) != 1 % p:
         raise ValueError(f"SD({p},{q},{r}): r^q = 1 (mod p) fails")
-    zp, zq = cyclic(p), cyclic(q)
     perm = tuple(a * r % p for a in range(p))
-    g = semidirect_product(zp, zq, {1 % q: perm})
     r_inv = pow(r, -1, p) if p > 1 else 0
     names = []
     for a in range(p):
@@ -297,7 +292,7 @@ def zp_zq_semidirect(p: int, q: int, r: int) -> FiniteGroup:
             xp = "" if s == 0 else ("x" if s == 1 else f"x{s}")
             yp = "" if ye == 0 else ("y" if ye == 1 else f"y{ye}")
             names.append((xp + yp) or "1")
-    return FiniteGroup(g.table, names, label=f"SD({p},{q},{r})")
+    return semidirect_product(cyclic(p), cyclic(q), {1 % q: perm}, names, f"SD({p},{q},{r})")
 
 
 # ---------------------------------------------------------------------------

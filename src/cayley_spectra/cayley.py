@@ -19,9 +19,9 @@ from .groups import (
     ElementSubset,
     FiniteGroup,
     closure,
+    coset_projection,
     direct_product,
     is_subgroup,
-    quotient,
 )
 from .intlinalg import IntMatrix
 
@@ -173,15 +173,20 @@ def lift_from_quotient(
 ) -> SymmetricSubset:
     """Union of the cosets of N named by a symmetric subset of G/N.
 
-    The lifted graph's spectrum is |N| times the quotient-graph spectrum
-    plus the eigenvalue 0 with multiplicity |G| - |G/N|.
+    sbar must live on G/N indexed as quotient() indexes it.  G/N is not
+    built: with proj = coset_projection(g, nsub), sbar's table q must
+    satisfy q[proj x][proj y] = proj[xy] for all x, y, which holds
+    exactly when q is quotient()'s table.  The lifted graph's spectrum is
+    |N| times the quotient-graph spectrum plus the eigenvalue 0 with
+    multiplicity |G| - |G/N|.
     """
     if nsub.group is not g:
         raise ValueError("normal subgroup must live in the ambient group")
-    qgroup, proj = quotient(g, nsub)
-    if sbar.group.table != qgroup.table:
+    proj = coset_projection(g, nsub)
+    q = sbar.group.np_table()
+    if len(q) != proj.max() + 1 or (q[proj[:, None], proj] != proj[g.np_table()]).any():
         raise ValueError("sbar does not live in the quotient of g by nsub")
-    return lift_preimage(g, proj, sbar)
+    return lift_preimage(g, proj.tolist(), sbar)
 
 
 def lift_preimage(

@@ -274,33 +274,31 @@ def is_normal(group: FiniteGroup, subset: ElementSubset | int) -> bool:
     return True
 
 
-def quotient(group: FiniteGroup, nsub: ElementSubset | int) -> tuple:
-    """Quotient by a normal subgroup.
-
-    Returns (quotient group, projection) where projection[x] is the coset
-    index of element x.  Cosets are indexed in order of their least
+def coset_projection(group: FiniteGroup, nsub: ElementSubset | int) -> np.ndarray:
+    """proj[x] = index of the coset N x, cosets in order of their least
     element, so the identity coset is index 0.  Raises ValueError if the
-    subset is not a normal subgroup.
-    """
+    subset is not a normal subgroup."""
     bits = nsub if isinstance(nsub, int) else nsub.bits
     if not is_normal(group, bits):
         raise ValueError("quotient requires a normal subgroup")
-    n = group.order
-    t = group.table
-    nmembers = list(_bits_of(bits))
-    proj = [-1] * n
-    reps = []
-    for x in range(n):
-        if proj[x] < 0:
-            idx = len(reps)
-            reps.append(x)
-            for h in nmembers:
-                proj[t[h][x]] = idx
-    q = len(reps)
-    qtable = [[proj[t[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    qnames = [f"[{group.names[r]}]" for r in reps]
-    qgroup = FiniteGroup(qtable, qnames, label=f"{group.label}/N{len(nmembers)}")
-    return qgroup, tuple(proj)
+    t = group.np_table()
+    # column x of t[N] is N x; cosets ranked by their least element
+    return np.unique(t[list(_bits_of(bits))].min(axis=0), return_inverse=True)[1]
+
+
+def quotient(group: FiniteGroup, nsub: ElementSubset | int) -> tuple:
+    """Quotient by a normal subgroup.
+
+    Returns (quotient group, projection) with projection as
+    coset_projection gives it.  Raises ValueError if the subset is not a
+    normal subgroup.
+    """
+    proj = coset_projection(group, nsub)
+    reps = np.unique(proj, return_index=True)[1]  # least element of each coset
+    qtable = proj[group.np_table()[np.ix_(reps, reps)]]
+    qnames = [f"[{group.names[r]}]" for r in reps.tolist()]
+    qgroup = FiniteGroup(qtable, qnames, label=f"{group.label}/N{group.order // len(reps)}")
+    return qgroup, tuple(proj.tolist())
 
 
 def derived_subgroup(group: FiniteGroup) -> ElementSubset:
@@ -384,39 +382,39 @@ def extend_action_by_homomorphism(
 
 
 def semidirect_product(
-    n: FiniteGroup, h: FiniteGroup, action: Mapping[int, Sequence[int]]
+    n: FiniteGroup,
+    h: FiniteGroup,
+    action: Mapping[int, Sequence[int]],
+    names: Optional[Sequence[str]] = None,
+    label: Optional[str] = None,
 ) -> FiniteGroup:
     """Semidirect product N x| H.
 
     ``action`` maps h-elements to permutations of n's elements; images may
     be given for generators only and are extended by homomorphism.  Each
     permutation must be an automorphism of n.  Index convention:
-    (a, s) -> a * |H| + s.
+    (a, s) -> a * |H| + s.  names and label default to "a.s" and "N:H".
     """
     full_action = extend_action_by_homomorphism(h, action)
     nn, nh = n.order, h.order
-    for s, perm in full_action.items():
-        if sorted(perm) != list(range(nn)):
-            raise ValueError(f"action of h-element {s} is not a permutation of N")
-        if perm[n.identity] != n.identity:
-            raise ValueError(f"action of h-element {s} does not fix the identity")
-        for a in range(nn):
-            for b in range(nn):
-                if perm[n.mul(a, b)] != n.mul(perm[a], perm[b]):
-                    raise ValueError(f"action of h-element {s} is not an automorphism")
-    size = nn * nh
-    table = [[0] * size for _ in range(size)]
-    for a in range(nn):
-        for s in range(nh):
-            row = table[a * nh + s]
-            phi = full_action[s]
-            for b in range(nn):
-                left = n.mul(a, phi[b]) * nh
-                hs = h.table[s]
-                for t_ in range(nh):
-                    row[b * nh + t_] = left + hs[t_]
-    names = [f"{sa}.{ss}" for sa in n.names for ss in h.names]
-    return FiniteGroup(table, names, label=f"{n.label}:{h.label}")
+    tn = n.np_table()
+    phi = np.array([full_action[s] for s in range(nh)], dtype=np.int64)  # phi[s, b] = s(b)
+
+    def require(fails: np.ndarray, what: str) -> None:
+        if fails.any():
+            raise ValueError(f"action of h-element {np.flatnonzero(fails)[0]} {what}")
+
+    not_perm = [sorted(p) != list(range(nn)) for p in phi.tolist()]
+    require(np.array(not_perm), "is not a permutation of N")
+    require(phi[:, n.identity] != n.identity, "does not fix the identity")
+    require((phi[:, tn] != tn[phi[:, :, None], phi[:, None, :]]).any(axis=(1, 2)),
+            "is not an automorphism")
+    # (a, s)(b, t) = (a s(b), st)
+    left = tn[:, phi]  # left[a, s, b] = a s(b)
+    table = (left[:, :, :, None] * nh + h.np_table()[None, :, None, :]).reshape(nn * nh, -1)
+    if names is None:
+        names = [f"{sa}.{ss}" for sa in n.names for ss in h.names]
+    return FiniteGroup(table, names, label=label or f"{n.label}:{h.label}")
 
 
 def subgroup_group(group: FiniteGroup, subset: ElementSubset | int) -> tuple:

@@ -4,8 +4,9 @@ Rank and determinant use fraction-free Bareiss elimination over Python
 ints.  The one modular char-poly pipeline lives here: traces modulo
 word-size primes, _newton_batch, crt_lift, then integer_root_split.
 SpectraEngine feeds it Cayley-graph traces in batches and gives the
-suites every char poly and verdict; IntMatrix.char_poly feeds it any
-square matrix and is the tests' general-matrix oracle.  The prime product
+suites every char poly and verdict; _char_poly_general feeds it stacks
+of any square integer matrices, for repcheck, and IntMatrix.char_poly,
+its one-matrix case, is the tests' general-matrix oracle.  The prime product
 is checked against a Hadamard-style bound, so results are exact.
 """
 
@@ -251,7 +252,7 @@ class IntMatrix:
         """Characteristic polynomial det(xI - A), exact."""
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        return _char_poly_general(self)
+        return _char_poly_general([self.rows])[0]
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows!r})"
@@ -391,23 +392,31 @@ def _newton_batch(traces: np.ndarray, n: int, p: int) -> np.ndarray:
     return coeff
 
 
-def _char_poly_general(a: IntMatrix) -> IntPolynomial:
-    n = a.nrows
-    if n == 0:
-        return IntPolynomial.of([1])
-    norms = [sum(c * c for c in row) for row in a.rows]
-    primes = primes_for_bound(charpoly_coeff_bound(n, norms))
+def _char_poly_general(mats) -> List[IntPolynomial]:
+    """det(xI - A) for each A in a (b, n, n) stack of ints, exact; n <= 64, as for PRIMES.
+
+    Entries are reduced mod p as Python ints before they reach int64.
+    One prime set covers the stack: the coefficient bound grows with
+    each row norm, so the columnwise maximum of the sorted norms bounds
+    every matrix's.
+    """
+    a = np.array(mats, dtype=object)
+    if a.size == 0:
+        return [IntPolynomial.of([1])] * len(a)
+    n = a.shape[1]
+    norms = np.sort((a * a).sum(axis=2), axis=1).max(axis=0)
+    primes = primes_for_bound(charpoly_coeff_bound(n, norms.tolist()))
     coeff = []
     for p in primes:
-        m = np.array([[c % p for c in row] for row in a.rows], dtype=np.int64)
-        power, traces = np.identity(n, dtype=np.int64), []
+        m = power = (a % p).astype(np.int64)
+        traces = []
         for _ in range(n):
+            traces.append(np.einsum("bii->b", power) % p)
             power = power @ m % p
-            traces.append(int(np.trace(power)) % p)
-        coeff.append(_newton_batch(np.array([traces], dtype=np.int64), n, p))
-    (chi,) = crt_lift(np.array(coeff), primes)
-    assert chi.is_monic()
-    return chi
+        coeff.append(_newton_batch(np.stack(traces, axis=1), n, p))
+    chis = crt_lift(np.array(coeff), primes)
+    assert all(chi.is_monic() for chi in chis)
+    return chis
 
 
 def annihilator_product_oracle(a: IntMatrix, k: int) -> bool:

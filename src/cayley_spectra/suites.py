@@ -40,9 +40,9 @@ from .groups import (
     subgroup_group,
     subgroups_up_to_two_generators,
 )
-from .integrality import engine_for, spectrum_of_subset_list, verdict
+from .integrality import engine_for, verdict
 from .intlinalg import IntMatrix, IntPolynomial
-from .repcheck import ds_union_check, rep_integral, system_for
+from .repcheck import rep_char_polys, roots_integral, system_for, union_holds
 from .search import WITNESS_KIND, GroupVerdict, exhaustive_scan, symmetric_subsets
 
 SUITE_NAMES = ("ab", "cis", "ks", "main", "bounds", "lifts", "ds", "s4-transitive")
@@ -525,11 +525,12 @@ def _suite_ds(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[dict]
         g = catalog.build_cached(lbl)
         system = system_for(lbl)
         subsets = list(symmetric_subsets(g))
-        verdicts = spectrum_of_subset_list(g, subsets)
-        union_ok = all(ds_union_check(system, s, v) for s, v in zip(subsets, verdicts))
+        chis = engine_for(g).char_polys([s.bits for s in subsets])
+        rep_polys = list(zip(*(rep_char_polys(r, subsets) for r in system.reps)))
+        union_ok = all(union_holds(system, ps, chi) for ps, chi in zip(rep_polys, chis))
         repint_ok = all(
-            all(rep_integral(r, s) is True for r in system.reps) == v.integral
-            for s, v in zip(subsets, verdicts)
+            all(roots_integral(p, len(s)) for p in ps) == roots_integral(chi, len(s))
+            for s, ps, chi in zip(subsets, rep_polys, chis)
         )
         records.append(
             {

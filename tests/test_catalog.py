@@ -167,7 +167,13 @@ def test_product_label_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "expr,labels", [("Z2^6", ["Z2^6"]), ("Q8xZ2^3", ["Q8", "Z2^3", "Q8xZ2^3"])]
+    "expr,labels",
+    [
+        ("Z2^6", ["Z2^6"]),
+        ("Q8xZ2^3", ["Q8", "Z2^3", "Q8xZ2^3"]),
+        ("Dic12", ["Z3", "Z4", "Dic12"]),
+        ("SD(7,3,2)", ["Z7", "Z3", "SD(7,3,2)"]),
+    ],
 )
 def test_build_checks_each_group_once(monkeypatch, expr, labels):
     """Each group is built, and so has its axioms checked, once: the

@@ -143,6 +143,41 @@ def test_lift_from_quotient_spectrum_identity():
     assert chi_t == chi_q.scale_roots(3).shift_by_x_power(12 - 4)
 
 
+def test_lift_from_quotient_rejects_bad_inputs():
+    g = build_cached("S3")
+    a3 = closure(g, 1 << g.index_of("(123)"))
+    qgroup, _ = quotient(g, a3)
+    sbar = SymmetricSubset.of(qgroup, [1])
+    assert lift_from_quotient(g, a3, sbar).bits == (1 << 6) - 1 - a3.bits
+    not_subgroup = ElementSubset.from_names(g, ["id", "(12)", "(13)"])
+    not_normal = closure(g, 1 << g.index_of("(12)"))
+    for nsub in (not_subgroup, not_normal, ElementSubset(g, 0)):
+        with pytest.raises(ValueError, match="^quotient requires a normal subgroup$"):
+            lift_from_quotient(g, nsub, sbar)
+    trivial = ElementSubset(g, 1 << g.identity)
+    z6 = build_cached("Z6")
+    for wrong in (sbar, SymmetricSubset.of(z6, [1, 5])):  # order 2, then the wrong table
+        with pytest.raises(ValueError, match="^sbar does not live in the quotient"):
+            lift_from_quotient(g, trivial, wrong)
+
+
+def test_lift_from_quotient_builds_no_group(monkeypatch):
+    g = build_cached("Z12")
+    nsub = closure(g, 1 << 4)
+    qgroup, proj = quotient(g, nsub)
+    sbar = SymmetricSubset.of(qgroup, [1, 3])
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.label)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    assert lift_from_quotient(g, nsub, sbar) == lift_preimage(g, proj, sbar)
+    assert built == []
+
+
 def test_union_product_is_kronecker_sum():
     a = build_cached("Z3")
     b = build_cached("Z4")

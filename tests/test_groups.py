@@ -175,6 +175,34 @@ def test_semidirect_trivial_action_is_direct():
     assert p.exponent() == 12
 
 
+@pytest.mark.parametrize(
+    "normal,perm,message",
+    [
+        ("Z3", (1, 0), "action of h-element 0 is not a permutation of N"),
+        ("Z3", (1, 0, 2), "action of h-element 1 does not fix the identity"),
+        ("Z4", (0, 2, 1, 3), "action of h-element 1 is not an automorphism"),
+    ],
+)
+def test_semidirect_rejects_bad_action(normal, perm, message):
+    with pytest.raises(ValueError) as exc:
+        semidirect_product(build_cached(normal), build_cached("Z2"), {1: perm})
+    assert str(exc.value) == message
+
+
+def test_semidirect_table_matches_the_product_rule():
+    """(a, s)(b, t) = (a s(b), st) at index a |H| + s, for D4 = Z4 x| Z2."""
+    n, h = build_cached("Z4"), build_cached("Z2")
+    act = {0: (0, 1, 2, 3), 1: (0, 3, 2, 1)}
+    g = semidirect_product(n, h, {1: act[1]})
+    for a in range(4):
+        for s in range(2):
+            for b in range(4):
+                for t in range(2):
+                    want = n.mul(a, act[s][b]) * 2 + h.mul(s, t)
+                    assert g.mul(a * 2 + s, b * 2 + t) == want
+    assert g.label == "Z4:Z2" and g.names[3] == "1.1"
+
+
 # a Latin square with identity 0 that is not associative: (1*1)*2 != 1*(1*2)
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 # LOOP5 x Z17 by the direct-product index formula: order 85, past the old

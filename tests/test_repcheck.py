@@ -1,18 +1,20 @@
 """Representation systems and spectral union cross-checks."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from cayley_spectra import catalog, repcheck
 from cayley_spectra.cayley import CayleyGraph, SymmetricSubset
-from cayley_spectra.integrality import verdict
+from cayley_spectra.integrality import engine_for, verdict
 from cayley_spectra.repcheck import (
     ExplicitRep,
     RepSystem,
     abelian_character_system,
     ds_union_check,
+    exact,
     linear_rep,
     rep_a4_perm4,
     rep_dn_theta,
@@ -40,6 +42,13 @@ def _real_eigs(mat):
     eig = np.linalg.eigvals(mat)
     assert np.abs(eig.imag).max() < 1e-9
     return np.sort(eig.real)
+
+
+def _complex(rep, mat):
+    """rho's matrix from an exact image: zeta -> e^(2 pi i / m) on column 0 of each block."""
+    f = len(mat) // rep.degree
+    coords = mat[:, ::f].reshape(rep.degree, f, rep.degree)
+    return np.einsum("ikj,k->ij", coords, np.exp(2j * np.pi * np.arange(f) / rep.m))
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +87,9 @@ def test_system_for_rejects_groups_without_shipped_reps():
 
 def test_broken_homomorphism_rejected():
     g = catalog.build_cached("Z3")
-    w = np.exp(2j * np.pi / 3)
     with pytest.raises(ValueError):
         # 1 -> w but 2 -> w (should be w^2)
-        ExplicitRep(g, "bad", [[[1]], [[w]], [[w]]])
+        ExplicitRep(g, "bad", [exact([[v]], 3) for v in (1, (1, 1), (1, 1))], 3)
 
 
 def test_identity_image_must_be_identity():
@@ -103,6 +111,21 @@ def test_repeated_character_rejected():
     triv = linear_rep(g, "a", [1, 1])
     with pytest.raises(ValueError):
         RepSystem(g, [triv, linear_rep(g, "b", [1, 1])])
+
+
+def test_system_needs_one_m():
+    g = catalog.build_cached("Z2")
+    with pytest.raises(ValueError, match="share one m"):
+        RepSystem(g, [linear_rep(g, "a", [1, 1]), linear_rep(g, "b", [1, -1], 4)])
+    RepSystem(g, [linear_rep(g, "a", [1, 1], 4), linear_rep(g, "b", [1, -1], 4)])
+
+
+def test_image_blocks_must_be_multiplication_matrices():
+    """Under m = 4 a 2x2 block must be [[a, -b], [b, a]]; a lone swap is not."""
+    g = catalog.build_cached("Z2")
+    swap = np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"not in Z\[zeta_4\]"):
+        ExplicitRep(g, "bad", [np.identity(2, dtype=np.int64), swap], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +150,7 @@ def test_rep_sum_rejects_foreign_subset():
 def test_d4_theta_on_two_reflections():
     theta = next(r for r in system_for("D4").reps if r.degree == 2)
     s = _subset("D4", ["x", "xy"])
-    m = rep_sum(theta, s)
+    m = _complex(theta, rep_sum(theta, s))
     assert np.allclose(np.diag(m), 0)
     assert abs(abs(m[0, 1]) - SQRT2) < 1e-12
     assert np.allclose(m, m.conj().T)
@@ -140,7 +163,7 @@ def test_dn_theta_reflection_pair_eigenvalues(n, integral):
     theta = rep_dn_theta(n)
     s = _subset(f"D{n}", ["x", "xy"])
     want = math.sqrt(2.0 + 2.0 * math.cos(2 * math.pi / n))
-    assert np.allclose(_real_eigs(rep_sum(theta, s)), [-want, want])
+    assert np.allclose(_real_eigs(_complex(theta, rep_sum(theta, s))), [-want, want])
     # n = 3 gives 2 + 2cos(2pi/3) = 1, an honest integer pair
     assert rep_integral(theta, s) is integral
 
@@ -148,7 +171,7 @@ def test_dn_theta_reflection_pair_eigenvalues(n, integral):
 def test_q8z4_rho_witness():
     rho = rep_q8z4_rho()
     s = _subset("Q8xZ4", ["i.1", "-i.3", "j.1", "-j.3"])
-    m = rep_sum(rho, s)
+    m = _complex(rho, rep_sum(rho, s))
     assert np.allclose(m, np.array([[-2, 2j], [-2j, 2]]))
     assert np.allclose(_real_eigs(m), [-2 * SQRT2, 2 * SQRT2])
     assert rep_integral(rho, s) is False
@@ -157,7 +180,7 @@ def test_q8z4_rho_witness():
 def test_s3z3_witness_zero_and_sqrt3():
     r = rep_s3z3_omega()
     s = _subset("S3xZ3", ["(12).1", "(12).2", "(13).0"])
-    assert np.allclose(_real_eigs(rep_sum(r, s)), [-SQRT3, 0.0, SQRT3], atol=1e-9)
+    assert np.allclose(_real_eigs(_complex(r, rep_sum(r, s))), [-SQRT3, 0.0, SQRT3], atol=1e-9)
     assert rep_integral(r, s) is False
 
 
@@ -167,7 +190,7 @@ def test_e9_witness_three_and_sqrt3():
     assert np.allclose(_real_eigs(rep_sum(r, s)), [-SQRT3, SQRT3, 3.0])
     assert rep_integral(r, s) is False
     # entries come from permutation matrices
-    assert set(np.unique(r.images.real)) <= {0.0, 1.0}
+    assert set(np.unique(r.images)) <= {0, 1}
 
 
 def test_a4_permutation_rep_witness():
@@ -189,8 +212,8 @@ def test_trivial_rep_counts_subset():
 def test_standard_perm_rep_is_integer_valued():
     std = standard_perm_rep(catalog.build_cached("S3"))
     assert std.degree == 2
-    assert set(np.unique(std.images.real)) <= {-1.0, 0.0, 1.0}
-    assert np.abs(std.images.imag).max() == 0
+    assert set(np.unique(std.images)) <= {-1, 0, 1}
+    assert std.images.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +229,7 @@ def test_q8_union_matches_pinned_spectrum():
     assert ds_union_check(system, s)
     # the 2-dim rep alone contributes eigenvalue -1 twice, weighted by 2
     pi = next(r for r in system.reps if r.degree == 2)
-    assert np.allclose(_real_eigs(rep_sum(pi, s)), [-1.0, -1.0])
+    assert np.allclose(_real_eigs(_complex(pi, rep_sum(pi, s))), [-1.0, -1.0])
 
 
 @pytest.mark.parametrize("label", ["S3", "D4", "Q8", "Dic12"])
@@ -224,16 +247,16 @@ def test_union_exhaustive_abelian(label):
 
 
 def test_union_uses_the_verdict_passed_in():
-    """A verdict passed in gives the answer the check computes itself,
-    and another subset's integral verdict makes the check fail."""
+    """A char poly passed in gives the answer the check computes itself,
+    and another subset's char poly makes the check fail."""
     system = system_for("D4")
     subsets = list(symmetric_subsets(system.group))
-    verdicts = [verdict(CayleyGraph(system.group, s)) for s in subsets]
-    for s, v in zip(subsets, verdicts):
-        assert ds_union_check(system, s, v) == ds_union_check(system, s)
-    (s, v), *rest = [(s, v) for s, v in zip(subsets, verdicts) if v.integral]
-    other = next(w for _, w in rest if w.spectrum != v.spectrum)
-    assert ds_union_check(system, s, v) and not ds_union_check(system, s, other)
+    chis = engine_for(system.group).char_polys([s.bits for s in subsets])
+    for s, chi in zip(subsets, chis):
+        assert ds_union_check(system, s, chi) == ds_union_check(system, s)
+    (s, chi), *rest = zip(subsets, chis)
+    other = next(c for _, c in rest if c != chi)
+    assert ds_union_check(system, s, chi) and not ds_union_check(system, s, other)
 
 
 def test_union_trivial_group():
@@ -260,3 +283,80 @@ def test_abelian_character_system_needs_consistent_generators():
         abelian_character_system(g, [(2, 2), (2, 2)])
     with pytest.raises(ValueError):
         abelian_character_system(g, [(1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# exactness
+# ---------------------------------------------------------------------------
+
+
+SYSTEM_LABELS = ["S3", "D4", "Q8", "Dic12", "A4", "Z1", "Z6", "Z8", "Z9", "Z12", "Z2^2xZ4",
+                 "Z2^2xZ3", "Z4^2", "Z6xZ2"]
+OBSTRUCTIONS = {
+    "dn_theta5": lambda: rep_dn_theta(5),
+    "dn_theta8": lambda: rep_dn_theta(8),
+    "q8z4_rho": rep_q8z4_rho,
+    "s3z3_omega": rep_s3z3_omega,
+    "e9_via_s3": rep_e9_via_s3,
+    "a4_perm4": rep_a4_perm4,
+}
+
+
+def _phi(m):
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def _float_integral(rep, s):
+    """Every eigenvalue of rho(S), in floating point, within 1e-9 of an integer."""
+    eig = np.linalg.eigvals(_complex(rep, rep_sum(rep, s)))
+    return bool(all(abs(v.imag) <= 1e-9 and abs(v.real - round(v.real)) <= 1e-9 for v in eig))
+
+
+def _random_subsets(g, count, seed):
+    rng = random.Random(seed)
+    cells = {(1 << x) | (1 << g.inv(x)) for x in g.elements() if x != g.identity}
+    return [
+        SymmetricSubset(g, sum(c for c in sorted(cells) if rng.randrange(2)))
+        for _ in range(count)
+    ]
+
+
+def test_companion_matrix_has_order_m():
+    for m in range(1, 65):
+        c = repcheck._companion(m)
+        assert c.shape == (_phi(m), _phi(m))
+        eye = np.identity(len(c), dtype=np.int64)
+        assert np.array_equal(np.linalg.matrix_power(c, m), eye)
+        for d in range(1, m):
+            if m % d == 0:
+                assert not np.array_equal(np.linalg.matrix_power(c, d), eye), (m, d)
+
+
+@pytest.mark.parametrize("name", SYSTEM_LABELS + list(OBSTRUCTIONS))
+def test_corrupted_image_fails_construction(name):
+    """Adding 1 to the first nonzero entry of any non-identity image breaks the rep."""
+    reps = [OBSTRUCTIONS[name]()] if name in OBSTRUCTIONS else system_for(name).reps
+    for rep in reps:
+        g = rep.group
+        for x in g.elements():
+            if x == g.identity:
+                continue
+            images = rep.images.copy()
+            images[x].flat[np.flatnonzero(images[x])[0]] += 1
+            with pytest.raises(ValueError):
+                ExplicitRep(g, rep.label, images, rep.m)
+
+
+@pytest.mark.parametrize("label", ["S3", "D4", "Q8", "Dic12", "A4"])
+def test_rep_integral_matches_float_oracle_exhaustive(label):
+    system = system_for(label)
+    for s in symmetric_subsets(system.group):
+        for r in system.reps:
+            assert rep_integral(r, s) is _float_integral(r, s)
+
+
+@pytest.mark.parametrize("name", list(OBSTRUCTIONS))
+def test_rep_integral_matches_float_oracle_sampled(name):
+    r = OBSTRUCTIONS[name]()
+    for s in _random_subsets(r.group, 256, seed=20261019):
+        assert rep_integral(r, s) is _float_integral(r, s)
