@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the suite reports of two --reports-dir outputs.
+"""Compare the JSON reports in two directories, as written by
+scripts/run_verification.py --reports-dir DIR or scripts/cli_reports.py DIR.
 
     python3 scripts/diff_reports.py DIR_A DIR_B
 

@@ -344,41 +344,29 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, names, label=f"{g1.label}x{g2.label}")
 
 
-def extend_action_by_homomorphism(
-    h: FiniteGroup, gen_images: Mapping[int, Sequence[int]]
-) -> dict:
-    """Extend permutation images of some h-elements to all of h.
-
-    Requires the given elements to generate h; images are extended by
-    phi(a*b) = phi(a) o phi(b) and checked for consistency on collisions.
-    """
-    known: dict = {h.identity: tuple(range(len(next(iter(gen_images.values())))))}
-    for g, perm in gen_images.items():
-        perm = tuple(perm)
-        if g in known and known[g] != perm:
-            raise ValueError(f"conflicting image for element {g}")
-        known[g] = perm
-    frontier = list(known)
+def generated_images(
+    group: FiniteGroup, gens: Mapping[int, np.ndarray], one: np.ndarray
+) -> np.ndarray:
+    """Every element's image, in element order, extended from the
+    generators' by BFS on the table, image(a g) = image(a) image(g), from
+    the identity's image one.  Permutations (1-D) compose by indexing,
+    p q = p[q], and matrices by @.  Each element keeps the first image it
+    gets, so callers check the homomorphism; generators that do not
+    generate the group raise ValueError."""
+    images = {group.identity: one}
+    frontier = [group.identity]
     while frontier:
         nxt = []
         for a in frontier:
-            pa = known[a]
-            for b in list(known):
-                pb = known[b]
-                for prod, perm in (
-                    (h.mul(a, b), tuple(pa[pb[i]] for i in range(len(pa)))),
-                    (h.mul(b, a), tuple(pb[pa[i]] for i in range(len(pa)))),
-                ):
-                    if prod in known:
-                        if known[prod] != perm:
-                            raise ValueError("images do not extend to a homomorphism")
-                    else:
-                        known[prod] = perm
-                        nxt.append(prod)
+            for g, image in gens.items():
+                b = group.mul(a, g)
+                if b not in images:
+                    images[b] = images[a][image] if one.ndim == 1 else images[a] @ image
+                    nxt.append(b)
         frontier = nxt
-    if len(known) != h.order:
-        raise ValueError("given elements do not generate the acting group")
-    return known
+    if len(images) != group.order:
+        raise ValueError("generator images do not reach the whole group")
+    return np.stack([images[x] for x in group.elements()])
 
 
 def semidirect_product(
@@ -395,23 +383,28 @@ def semidirect_product(
     permutation must be an automorphism of n.  Index convention:
     (a, s) -> a * |H| + s.  names and label default to "a.s" and "N:H".
     """
-    full_action = extend_action_by_homomorphism(h, action)
+    gens = {s: np.array(p, dtype=np.int64) for s, p in action.items()}
+    one = np.arange(len(next(iter(gens.values()))))
+    phi = generated_images(h, gens, one)  # phi[s, b] = s(b)
     nn, nh = n.order, h.order
-    tn = n.np_table()
-    phi = np.array([full_action[s] for s in range(nh)], dtype=np.int64)  # phi[s, b] = s(b)
+    tn, th = n.np_table(), h.np_table()
 
     def require(fails: np.ndarray, what: str) -> None:
         if fails.any():
             raise ValueError(f"action of h-element {np.flatnonzero(fails)[0]} {what}")
 
-    not_perm = [sorted(p) != list(range(nn)) for p in phi.tolist()]
-    require(np.array(not_perm), "is not a permutation of N")
+    require(np.array([sorted(p) != list(range(nn)) for p in phi.tolist()]),
+            "is not a permutation of N")
+    # phi(st) = phi(s) phi(t) over H's table, and no given image replaced
+    composed = phi[np.arange(nh)[:, None, None], phi[None]]  # [s, t, b] = s(t(b))
+    if (phi[th] != composed).any() or any((phi[s] != p).any() for s, p in gens.items()):
+        raise ValueError("images do not extend to a homomorphism")
     require(phi[:, n.identity] != n.identity, "does not fix the identity")
     require((phi[:, tn] != tn[phi[:, :, None], phi[:, None, :]]).any(axis=(1, 2)),
             "is not an automorphism")
     # (a, s)(b, t) = (a s(b), st)
     left = tn[:, phi]  # left[a, s, b] = a s(b)
-    table = (left[:, :, :, None] * nh + h.np_table()[None, :, None, :]).reshape(nn * nh, -1)
+    table = (left[:, :, :, None] * nh + th[None, :, None, :]).reshape(nn * nh, -1)
     if names is None:
         names = [f"{sa}.{ss}" for sa in n.names for ss in h.names]
     return FiniteGroup(table, names, label=label or f"{n.label}:{h.label}")

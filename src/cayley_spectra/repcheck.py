@@ -33,7 +33,7 @@ import numpy as np
 
 from . import catalog
 from .cayley import SymmetricSubset
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generated_images
 from .integrality import engine_for
 from .intlinalg import IntPolynomial, _char_poly_general, integer_root_split
 
@@ -253,23 +253,10 @@ def linear_rep(
     return ExplicitRep(group, label, [exact([[v]], m) for v in values], m)
 
 
-def _power_images(group: FiniteGroup, gens: Dict[int, np.ndarray], m: int) -> List[np.ndarray]:
-    """Images for all elements from generator images over Z[zeta_m], by BFS on the table."""
+def _power_images(group: FiniteGroup, gens: Dict[int, np.ndarray], m: int) -> np.ndarray:
+    """Images for all elements from generator images over Z[zeta_m]."""
     size = len(next(iter(gens.values()))) if gens else len(_companion(m))
-    images: Dict[int, np.ndarray] = {group.identity: np.identity(size, dtype=np.int64)}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, mg in gens.items():
-                b = group.mul(a, g)
-                if b not in images:
-                    images[b] = images[a] @ mg
-                    nxt.append(b)
-        frontier = nxt
-    if len(images) != group.order:
-        raise ValueError("generator images do not reach the whole group")
-    return [images[x] for x in group.elements()]
+    return generated_images(group, gens, np.identity(size, dtype=np.int64))
 
 
 def _generated_rep(group: FiniteGroup, label: str, gens: dict, m: int) -> ExplicitRep:

@@ -28,7 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,8 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """The cell decomposition of one group's symmetric subsets."""
+    """The cell decomposition of one group's symmetric subsets, and the
+    tables a scan's chunks read, as properties cached on first use."""
 
     group: FiniteGroup
     cells: Tuple[Tuple[int, ...], ...]
@@ -82,91 +83,99 @@ class SubsetFamily:
         return tuple(sum(1 << x for x in cell) for cell in self.cells)
 
     def mask_of_counter(self, counter: int) -> int:
-        mask = 0
-        for i, cm in enumerate(self.cell_masks()):
-            if counter >> i & 1:
-                mask |= cm
-        return mask
+        return sum(cm for i, cm in enumerate(self.cell_masks()) if counter >> i & 1)
 
     def counter_of_mask(self, mask: int) -> int:
-        counter = 0
-        for i, cm in enumerate(self.cell_masks()):
-            if mask & cm:
-                if mask & cm != cm:
-                    raise ValueError("mask is not a union of cells")
-                counter |= 1 << i
+        counter = sum(1 << i for i, cm in enumerate(self.cell_masks()) if mask & cm)
+        if self.mask_of_counter(counter) != mask:
+            raise ValueError("mask is not a union of cells")
         return counter
 
     def conjugation_cell_perms(self) -> Tuple[Tuple[int, ...], ...]:
-        """Distinct permutations of the cell list induced by conjugation."""
+        """Distinct permutations of the cell list induced by conjugation,
+        sorted.  Conjugation by a sends cell i to the cell of a x_i a^-1,
+        x_i the cell's first element."""
+        t, inv = self.group.np_table(), np.array(self.group.inverses)
+        firsts = [cell[0] for cell in self.cells]  # ascending; x_i is the lesser of x_i, x_i^-1
+        conjugates = t[t[:, firsts], inv[:, None]]  # [a, i] = a x_i a^-1
+        perms = np.searchsorted(firsts, np.minimum(conjugates, inv[conjugates]))
+        return tuple(sorted(set(map(tuple, perms.tolist()))))
+
+    @functools.cached_property
+    def mask_tables(self) -> np.ndarray:
+        """_byte_tables of the counter->mask map: counter bit i sets cell i."""
+        return _byte_tables(np.array([self.cell_masks()], dtype=np.uint64))
+
+    @functools.cached_property
+    def orbit_tables(self) -> np.ndarray:
+        """_byte_tables of every conjugation cell permutation p but the
+        identity, which keeps every counter: counter bit i goes to bit p[i]."""
+        perms = np.array(self.conjugation_cell_perms(), dtype=np.uint64)
+        moved = perms[(perms != np.arange(self.cell_count)).any(axis=1)]
+        return _byte_tables(np.uint64(1) << moved)
+
+    @functools.cached_property
+    def bound_tables(self) -> Tuple[bool, np.uint64, np.ndarray, np.ndarray]:
+        """(G perfect, the mask of odd-order elements but the identity, and
+        bound_holds(n, k, True)'s weak and strong rows over k = 0..n-1)."""
         g = self.group
-        index = {cell: i for i, cell in enumerate(self.cells)}
-        perms = set()
-        for a in g.elements():
-            perm = tuple(
-                index[tuple(sorted(g.conj(a, x) for x in cell))]
-                for cell in self.cells
-            )
-            perms.add(perm)
-        return tuple(sorted(perms))
+        odd = sum(1 << x for x in g.elements() if x != g.identity and g.element_order(x) % 2)
+        weak, strong = np.array([bound_holds(g.order, k, True) for k in range(g.order)]).T
+        return is_perfect(g), np.uint64(odd), weak, strong
+
+    def build_scan_tables(self, reduce_orbits: bool) -> None:
+        """Build the tables a scan reads before it dispatches spans, so the
+        spans share them and pool workers unpickle them with the family."""
+        self.mask_tables, self.bound_tables
+        if reduce_orbits:
+            self.orbit_tables
 
 
-def _canonical_keep(counters: np.ndarray, perms: Sequence[Tuple[int, ...]]) -> np.ndarray:
-    """True where the counter is minimal in its conjugation orbit.
-
-    Each permutation maps a counter byte by byte through _byte_tables:
-    one table lookup per byte and permutation.
-    """
-    c = np.asarray(counters, dtype=np.uint64)
-    tables = _byte_tables(tuple(perms))
-    permuted = np.zeros((len(tables), len(c)), dtype=np.uint64)
-    for i in range(tables.shape[1]):
-        byte = ((c >> np.uint64(8 * i)) & np.uint64(0xFF)).astype(np.intp)
-        permuted |= tables[:, i, byte]
-    return (permuted >= c).all(axis=0)
-
-
-@functools.lru_cache(maxsize=8)
-def _byte_tables(perms: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
-    """T[p, i, v]: the counter bits that bits v of counter byte i map to
-    under cell permutation p, for every permutation but the identity,
-    which keeps every counter.  Built on a scan's first chunk."""
-    cells = len(perms[0]) if perms else 0
-    moved = [p for p in perms if p != tuple(range(cells))]
+def _byte_tables(images: np.ndarray) -> np.ndarray:
+    """T[r, i, v]: the OR of images[r, 8i + j] over the bits j set in v,
+    where images[r, b] holds the disjoint bits that counter bit b maps to
+    under map r.  _lookup ORs one entry per counter byte."""
+    rows, cells = images.shape
     width = -(-cells // 8) * 8
-    image = np.zeros((len(moved), width), dtype=np.uint64)
-    image[:, :cells] = np.uint64(1) << np.array(moved, dtype=np.uint64).reshape(-1, cells)
+    padded = np.zeros((rows, width), dtype=np.uint64)
+    padded[:, :cells] = images
     bits = ((np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1).astype(np.uint64)
-    tables = image.reshape(len(moved), width // 8, 8) @ bits  # distinct bits: the sum is the OR
-    tables.setflags(write=False)  # shared by every caller through the cache
-    return tables
+    return padded.reshape(rows, width // 8, 8) @ bits  # disjoint bits: the sum is the OR
 
 
-def _masks_of_counters(counters: np.ndarray, cell_masks: Sequence[int]) -> np.ndarray:
-    cu = np.asarray(counters, dtype=np.uint64)
-    masks = np.zeros(len(counters), dtype=np.uint64)
-    one = np.uint64(1)
-    for i, cm in enumerate(cell_masks):
-        masks |= ((cu >> np.uint64(i)) & one) * np.uint64(cm)
-    return masks
+def _lookup(tables: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """[r, c]: the image of counters[c] under the map of tables[r]."""
+    out = np.zeros((len(tables), len(counters)), dtype=np.uint64)
+    for i in range(tables.shape[1]):
+        byte = ((counters >> np.uint64(8 * i)) & np.uint64(0xFF)).astype(np.intp)
+        out |= tables[:, i, byte]
+    return out
+
+
+def _masks_of_counters(counters: np.ndarray, mask_tables: np.ndarray) -> np.ndarray:
+    return _lookup(mask_tables, np.asarray(counters, dtype=np.uint64))[0]
+
+
+def _canonical_keep(counters: np.ndarray, orbit_tables: np.ndarray) -> np.ndarray:
+    """True where the counter is minimal in its conjugation orbit."""
+    c = np.asarray(counters, dtype=np.uint64)
+    return (_lookup(orbit_tables, c) >= c).all(axis=0)
 
 
 def _chunks(
-    family: SubsetFamily, start: int, end: int, perms: Sequence[Tuple[int, ...]]
+    family: SubsetFamily, start: int, end: int, reduce_orbits: bool
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """(counters enumerated, kept counters, their masks) per chunk of [start, end).
 
-    Counters and masks are uint64 arrays.  With more than one cell
-    permutation in perms, only the counter-minimal member of each
-    conjugation orbit is kept.
+    Counters and masks are uint64 arrays.  With reduce_orbits, only the
+    counter-minimal member of each conjugation orbit is kept.
     """
-    cell_masks = family.cell_masks()
     for cs in range(start, end, _CHUNK):
         counters = np.arange(cs, min(cs + _CHUNK, end), dtype=np.uint64)
         enumerated = len(counters)
-        if len(perms) > 1:
-            counters = counters[_canonical_keep(counters, perms)]
-        yield enumerated, counters, _masks_of_counters(counters, cell_masks)
+        if reduce_orbits and len(family.orbit_tables):
+            counters = counters[_canonical_keep(counters, family.orbit_tables)]
+        yield enumerated, counters, _masks_of_counters(counters, family.mask_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +318,18 @@ def _scan_counters(
 
     Each chunk stays in numpy from counter to tally, with certify's
     arrays: a mask is connected when eigenvalue k = |S| has multiplicity
-    1; the weak and strong bounds are bound_holds tabulated over k =
-    0..n-1, the strong one checked where G is perfect or S meets
-    odd_mask; cis asks _complement_subgroups.  Python sees only the rows
-    that become witnesses.
+    1; the weak and strong bounds are read off the family's bound_tables,
+    the strong one checked where G is perfect or S meets odd_mask; cis
+    asks _complement_subgroups.  Python sees only the rows that become
+    witnesses.
     """
     group = family.group
     engine = engine_for(group)
-    perms = family.conjugation_cell_perms() if reduce_orbits else ()
-    n_order = group.order
-    odd_mask = np.uint64(sum(
-        1 << x
-        for x in group.elements()
-        if x != group.identity and group.element_order(x) % 2 == 1
-    ))
-    perfect = is_perfect(group)
-    weak_ok, strong_ok = np.array([bound_holds(n_order, k, True) for k in range(n_order)]).T
+    perfect, odd_mask, weak_ok, strong_ok = family.bound_tables
     stats = ScanStats()
     witnesses: List[Witness] = []
     cis = property_name == "cis"
-    for enumerated, counters, masks in _chunks(family, start, end, perms):
+    for enumerated, counters, masks in _chunks(family, start, end, reduce_orbits):
         stats.subsets_enumerated += enumerated
         stats.reduced_count += len(masks)
         degree, integral, rows, roots, mults = engine.certify(masks)
@@ -418,8 +419,9 @@ def _load_checkpoint(
     """(next counter, stats, witnesses, least witnesses) saved at path.
 
     None if there is no file yet.  Raises CheckpointError if the file is
-    not JSON, lacks a key, holds a value of the wrong type, or was written
-    by a different scan.
+    not JSON, lacks a key, holds a value of the wrong type, was written
+    by a different scan, or has a next counter outside [0, subset_count]
+    or other than the count of subsets its stats say were enumerated.
     """
     if not os.path.exists(path):
         return None
@@ -439,7 +441,7 @@ def _load_checkpoint(
     if not matches:
         raise CheckpointError(f"checkpoint {path!r} does not match this scan")
     try:
-        return (
+        saved = (
             int(data["next_counter"]),
             _stats_from_json(data["stats"]),
             [_witness_from_json(w) for w in data["witnesses"]],
@@ -449,6 +451,13 @@ def _load_checkpoint(
         raise CheckpointError(f"checkpoint {path!r} lacks the key {e}") from None
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint {path!r} is malformed: {e}") from None
+    next_counter, enumerated = saved[0], saved[1].subsets_enumerated
+    if not 0 <= next_counter <= family.subset_count or next_counter != enumerated:
+        raise CheckpointError(
+            f"checkpoint {path!r} has next_counter {next_counter}, but {enumerated} "
+            f"of {family.subset_count} subsets enumerated"
+        )
+    return saved
 
 
 def _stats_from_json(d: dict) -> ScanStats:
@@ -499,6 +508,8 @@ def exhaustive_scan(
             f"group order {group.order} exceeds the exhaustive-scan cap "
             f"{SCAN_ORDER_CAP}; pass force to scan anyway"
         )
+    if max_counters is not None and max_counters < 0:
+        raise ValueError(f"max_counters must be at least 0, got {max_counters}")
     family = SubsetFamily.of(group)
     total = family.subset_count
     stats = ScanStats()
@@ -538,6 +549,7 @@ def exhaustive_scan(
     else:
         size = _CHUNK * 8
     spans = [(s, min(s + size, end)) for s in range(start, end, size)]
+    family.build_scan_tables(reduce_orbits)
     scan = functools.partial(_scan_counters, family, property_name, reduce_orbits=reduce_orbits)
     with (
         ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext()
@@ -624,7 +636,7 @@ WITNESS_KIND = {"cayley_integral": "nonintegral", "cis": "integral_noncomplement
 def symmetric_subsets(group: FiniteGroup) -> Iterator[SymmetricSubset]:
     """Stream every symmetric subset of the group in counter order."""
     family = SubsetFamily.of(group)
-    for _, _, masks in _chunks(family, 0, family.subset_count, ()):
+    for _, _, masks in _chunks(family, 0, family.subset_count, False):
         for m in masks.tolist():
             yield SymmetricSubset(group, m)
 

@@ -342,20 +342,20 @@ def _suite_bounds(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[d
         weak_bad += st.bound_weak_violations
         strong_checked += st.bound_strong_checked
         strong_bad += st.bound_strong_violations
-        if is_perfect(g):
+        perfect = is_perfect(g)
+        if perfect:
             perfect_labels.append(lbl)
             if g.order > 1:
                 nontrivial_perfect.append(lbl)
+        holds = st.bound_weak_violations == 0 and st.bound_strong_violations == 0
         records.append(
             {
                 "group_expr": lbl,
                 "order": g.order,
                 "property": "divisibility_bound",
                 "expected": True,
-                "holds": st.bound_weak_violations == 0
-                and st.bound_strong_violations == 0,
-                "ok": st.bound_weak_violations == 0
-                and st.bound_strong_violations == 0,
+                "holds": holds,
+                "ok": holds,
                 "witnesses": [],
                 "subsets_enumerated": st.subsets_enumerated,
                 "reduced_count": st.reduced_count,
@@ -363,7 +363,7 @@ def _suite_bounds(reduce_orbits: bool, threads: int) -> Tuple[List[dict], List[d
                 "bound_weak_violations": st.bound_weak_violations,
                 "bound_strong_checked": st.bound_strong_checked,
                 "bound_strong_violations": st.bound_strong_violations,
-                "perfect": is_perfect(g),
+                "perfect": perfect,
                 "wall_time_ms": round(st.wall_time_ms, 3),
             }
         )

@@ -34,7 +34,7 @@ def _counter_masks(group, count, last=False):
     total = family.subset_count
     start = max(0, total - count) if last else 0
     counters = np.arange(start, min(start + count, total), dtype=np.int64)
-    return [int(m) for m in _masks_of_counters(counters, family.cell_masks())]
+    return [int(m) for m in _masks_of_counters(counters, family.mask_tables)]
 
 
 def _certify(engine, masks):

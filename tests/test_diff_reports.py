@@ -1,4 +1,5 @@
-"""scripts/diff_reports.py: suite reports compared apart from wall_time_ms."""
+"""scripts/diff_reports.py: reports compared apart from wall_time_ms; and
+scripts/cli_reports.py, which writes the command reports it compares."""
 
 import json
 import pathlib
@@ -35,3 +36,16 @@ def test_reports_differ_at_first_path(tmp_path):
     assert done.returncode == 1
     assert "cis.json: differs at $.groups[0].ok" in done.stdout
     assert "main.json: only in" in done.stdout
+
+
+def test_cli_reports_write_every_case(tmp_path):
+    """scripts/cli_reports.py writes one JSON per command."""
+    done = subprocess.run([sys.executable, str(SCRIPT.parent / "cli_reports.py"), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "wrote 19 of 19 reports" in done.stdout
+    assert len(list(tmp_path.glob("*.json"))) == 19
+    d4 = json.loads((tmp_path / "check-D4-cayley-integral-witness-limit-3-threads-2.json").read_text())
+    assert (d4["group"], d4["holds"], len(d4["witnesses"])) == ("D4", False, 3)
+    z7 = json.loads((tmp_path / "spectrum-Z7-0x42.json").read_text())
+    assert (z7["subset"], z7["verdict"]["integral"]) == (["1", "6"], False)

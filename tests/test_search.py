@@ -1,6 +1,7 @@
 """Exhaustive scans: families, reduction, checkpoints, witnesses."""
 
 import json
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -46,6 +47,8 @@ def test_family_counter_roundtrip():
         assert fam.counter_of_mask(mask) == counter
         if mask:
             SymmetricSubset(g, mask)  # every mask is symmetric, no raise
+    with pytest.raises(ValueError, match="not a union of cells"):
+        fam.counter_of_mask(fam.mask_of_counter(5) | 1 << g.identity)  # a bit in no cell
 
 
 def test_symmetric_subsets_complete_and_valid():
@@ -189,6 +192,12 @@ def test_checkpoint_resume(tmp_path):
     assert resumed.holds == fresh.holds
 
 
+def test_negative_max_counters_rejected():
+    """A negative max_counters would move a checkpoint's next counter back."""
+    with pytest.raises(ValueError, match="max_counters"):
+        exhaustive_scan(build_cached("D4"), "cayley_integral", max_counters=-16)
+
+
 def test_checkpoint_mismatch_rejected(tmp_path):
     ckpt = tmp_path / "scan.json"
     exhaustive_scan(
@@ -292,7 +301,48 @@ def test_byte_table_orbit_filter_matches_per_bit(label):
     perms = family.conjugation_cell_perms()
     counters = np.arange(family.subset_count, dtype=np.int64)
     want = _keep_by_bits(counters, perms)
-    assert search._canonical_keep(counters.astype(np.uint64), perms).tolist() == want.tolist()
+    assert search._canonical_keep(counters.astype(np.uint64), family.orbit_tables).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("label", [expr for expr, _ in catalog_up_to_12()] + ["Q8xZ2^2"])
+def test_byte_table_masks_match_mask_of_counter(label):
+    """Every counter of the catalog groups of order <= 12, and a seeded
+    sample of Q8xZ2^2's 2^19."""
+    family = SubsetFamily.of(build_cached(label))
+    counters = np.arange(family.subset_count, dtype=np.uint64)
+    if family.subset_count > 1 << 12:
+        counters = np.random.default_rng(13).choice(counters, 1 << 12, replace=False)
+    want = [family.mask_of_counter(c) for c in counters.tolist()]
+    assert search._masks_of_counters(counters, family.mask_tables).tolist() == want
+
+
+def test_scan_tables_built_once_per_scan(monkeypatch):
+    """Z2^4's 2^15 counters run as two serial spans, which share one build."""
+    calls = {"perms": 0, "perfect": 0}
+    perms, perfect = SubsetFamily.conjugation_cell_perms, search.is_perfect
+
+    def count(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(SubsetFamily, "conjugation_cell_perms", count("perms", perms))
+    monkeypatch.setattr(search, "is_perfect", count("perfect", perfect))
+    g = build_cached("Z2^4")
+    assert SubsetFamily.of(g).subset_count == 2 * 8 * search._CHUNK
+    assert exhaustive_scan(g, "cayley_integral").holds is True
+    assert calls["perms"] <= 1 and calls["perfect"] == 1
+
+
+def test_pickled_family_carries_its_tables():
+    family = SubsetFamily.of(build_cached("S4"))
+    family.build_scan_tables(reduce_orbits=True)
+    copy = pickle.loads(pickle.dumps(family))
+    for name in ("mask_tables", "orbit_tables", "bound_tables"):
+        assert name in vars(copy)
+    assert (copy.orbit_tables == family.orbit_tables).all()
+    assert copy.bound_tables[:2] == family.bound_tables[:2]
 
 
 def _reference_scan(g, prop, reduce_orbits, witness_limit):

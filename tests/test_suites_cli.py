@@ -298,9 +298,16 @@ def test_run_verification_rejects_bad_arguments(monkeypatch, capsys, tmp_path, a
 
 
 @pytest.mark.parametrize(
-    "damage", ["other_scan", "truncated", "missing_key", "malformed_stats"]
+    "damage",
+    [
+        "other_scan", "truncated", "missing_key", "malformed_stats",
+        "counter_negative", "counter_past_end", "counter_not_enumerated",
+    ],
 )
 def test_checkpoint_error_exit_code(capsys, tmp_path, damage):
+    """A damaged checkpoint exits 5.  D4 has 64 subsets and the scan stops
+    at counter 16; a next counter of 64 that its stats do not back would
+    report a verdict on one chunk as exhausted."""
     ckpt = tmp_path / "scan.json"
     exhaustive_scan(
         build_cached("D4"), "cayley_integral", witness_limit=None,
@@ -316,8 +323,13 @@ def test_checkpoint_error_exit_code(capsys, tmp_path, damage):
         state = json.loads(ckpt.read_text())
         if damage == "missing_key":
             del state["next_counter"]
-        else:
+        elif damage == "malformed_stats":
             state["stats"] = []
+        else:
+            counter = {"counter_negative": -1, "counter_past_end": 65}.get(damage, 64)
+            state["next_counter"] = counter
+            if damage != "counter_not_enumerated":
+                state["stats"]["subsets_enumerated"] = counter
         ckpt.write_text(json.dumps(state))
     rc = cli.main(
         ["check", group, "cayley-integral", "--threads", "1", "--checkpoint", str(ckpt)]
