@@ -27,6 +27,7 @@ CHECKS = [
     ["S4", "cis"],
     ["S4", "cayley-integral", "--witness-limit", "5", "--no-reduce"],
     ["Q8xZ2", "cis", "--witness-limit", "4"],
+    ["D8", "cis", "--witness-limit", "60"],  # the limit is reached past the first chunk
 ]
 SPECTRA = [
     ["A4", "(13)(24),(14)(23),(123),(132)"],

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cayley import SymmetricSubset
 from .groups import FiniteGroup, is_perfect
-from .integrality import SpectraEngine, bound_holds, engine_for
+from .integrality import bound_holds, engine_for
 
 SCAN_ORDER_CAP = 32
 _CHUNK = 2048
@@ -124,8 +124,8 @@ class SubsetFamily:
         return is_perfect(g), np.uint64(odd), weak, strong
 
     def build_scan_tables(self, reduce_orbits: bool) -> None:
-        """Build the tables a scan reads before it dispatches spans, so the
-        spans share them and pool workers unpickle them with the family."""
+        """Build the tables a scan reads before it maps its chunks, so the
+        chunks share them and pool workers unpickle them with the family."""
         self.mask_tables, self.bound_tables
         if reduce_orbits:
             self.orbit_tables
@@ -160,22 +160,6 @@ def _canonical_keep(counters: np.ndarray, orbit_tables: np.ndarray) -> np.ndarra
     """True where the counter is minimal in its conjugation orbit."""
     c = np.asarray(counters, dtype=np.uint64)
     return (_lookup(orbit_tables, c) >= c).all(axis=0)
-
-
-def _chunks(
-    family: SubsetFamily, start: int, end: int, reduce_orbits: bool
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """(counters enumerated, kept counters, their masks) per chunk of [start, end).
-
-    Counters and masks are uint64 arrays.  With reduce_orbits, only the
-    counter-minimal member of each conjugation orbit is kept.
-    """
-    for cs in range(start, end, _CHUNK):
-        counters = np.arange(cs, min(cs + _CHUNK, end), dtype=np.uint64)
-        enumerated = len(counters)
-        if reduce_orbits and len(family.orbit_tables):
-            counters = counters[_canonical_keep(counters, family.orbit_tables)]
-        yield enumerated, counters, _masks_of_counters(counters, family.mask_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -306,79 +290,77 @@ def _scan_counters(
     end: int,
     reduce_orbits: bool,
     witness_limit: Optional[int],
-) -> Tuple[ScanStats, List[Witness]]:
-    """Scan one counter range in chunks; stop early at witness_limit.
+) -> Tuple[ScanStats, List[Tuple[str, int, int, dict]]]:
+    """Scan the one chunk [start, end) of at most _CHUNK counters.
 
-    witness_limit None means tally mode: every violation is counted, the
-    scan never stops early, and the returned list holds only the
-    counter-least violation of each kind within the range.  Otherwise
-    the list holds the first witness_limit violations, and the chunk
-    that reaches the limit is tallied only up to its last witness (its
-    subsets_enumerated and reduced_count count the whole chunk).
+    Returns the chunk's stats and candidate rows (kind, counter, mask,
+    spectrum) in counter order, the spectrum empty unless the mask is
+    integral.  witness_limit None means tally mode: every violation is
+    counted and the rows are the first violation of each kind.
+    Otherwise the rows are the first witness_limit violations, and a
+    chunk that has that many stops at the last one: every stats field,
+    subsets_enumerated and reduced_count included, counts through its
+    counter.  With reduce_orbits, only the counter-minimal member of
+    each conjugation orbit is kept.
 
-    Each chunk stays in numpy from counter to tally, with certify's
+    The chunk stays in numpy from counter to tally, with certify's
     arrays: a mask is connected when eigenvalue k = |S| has multiplicity
     1; the weak and strong bounds are read off the family's bound_tables,
     the strong one checked where G is perfect or S meets odd_mask; cis
-    asks _complement_subgroups.  Python sees only the rows that become
-    witnesses.
+    asks _complement_subgroups.  Python sees only the candidate rows.
     """
-    group = family.group
-    engine = engine_for(group)
+    engine = engine_for(family.group)
     perfect, odd_mask, weak_ok, strong_ok = family.bound_tables
-    stats = ScanStats()
-    witnesses: List[Witness] = []
-    cis = property_name == "cis"
-    for enumerated, counters, masks in _chunks(family, start, end, reduce_orbits):
-        stats.subsets_enumerated += enumerated
-        stats.reduced_count += len(masks)
-        degree, integral, rows, roots, mults = engine.certify(masks)
-        top = roots == degree[rows]
-        connected = np.zeros(len(masks), dtype=bool)
-        connected[rows[top]] = mults[top] == 1
-        if cis:
-            comp_subgroup = _complement_subgroups(masks, degree, engine.xyinv)
-            kinds = {
-                "integral_noncomplement": connected & ~comp_subgroup,
-                "subgroup_complement_nonintegral": ~integral & comp_subgroup,
-            }
-        else:
-            kinds = {"nonintegral": ~integral}
-        violating = np.logical_or.reduce(list(kinds.values()))
-        if witness_limit is None:
-            # counters ascend, so the first of each kind is the least
-            found = {w.kind for w in witnesses}
-            firsts = (np.flatnonzero(v)[:1] for kind, v in kinds.items() if kind not in found)
-            take = sorted(i for first in firsts for i in first.tolist())
-            cut = len(masks)
-        else:
-            take = np.flatnonzero(violating)[: witness_limit - len(witnesses)].tolist()
-            cut = take[-1] + 1 if len(witnesses) + len(take) >= witness_limit else len(masks)
-        integral, connected, violating = integral[:cut], connected[:cut], violating[:cut]
-        stats.integral_count += int(integral.sum())
-        stats.nonintegral_count += cut - int(integral.sum())
-        stats.property_violations += int(violating.sum())
-        k = degree[:cut][connected]
-        strong_applies = perfect | (masks[:cut][connected] & odd_mask != 0)
-        stats.bound_checked += len(k)
-        stats.bound_weak_violations += int((~weak_ok[k]).sum())
-        stats.bound_strong_checked += int(strong_applies.sum())
-        stats.bound_strong_violations += int((strong_applies & ~strong_ok[k]).sum())
-        for i in take:
-            kind = next(kind for kind, v in kinds.items() if v[i])
-            lo, hi = np.searchsorted(rows, (i, i + 1))
-            spectrum = dict(zip(roots[lo:hi].tolist(), mults[lo:hi].tolist()))
-            mask = int(masks[i])
-            witnesses.append(_witness(engine, group, kind, int(counters[i]), mask, spectrum))
-        if witness_limit is not None and len(witnesses) >= witness_limit:
-            break
-    return stats, witnesses
+    stats = ScanStats(subsets_enumerated=end - start)
+    counters = np.arange(start, end, dtype=np.uint64)
+    if reduce_orbits and len(family.orbit_tables):
+        counters = counters[_canonical_keep(counters, family.orbit_tables)]
+    masks = _masks_of_counters(counters, family.mask_tables)
+    degree, integral, rows, roots, mults = engine.certify(masks)
+    top = roots == degree[rows]
+    connected = np.zeros(len(masks), dtype=bool)
+    connected[rows[top]] = mults[top] == 1
+    if property_name == "cis":
+        comp_subgroup = _complement_subgroups(masks, degree, engine.xyinv)
+        kinds = {
+            "integral_noncomplement": connected & ~comp_subgroup,
+            "subgroup_complement_nonintegral": ~integral & comp_subgroup,
+        }
+    else:
+        kinds = {"nonintegral": ~integral}
+    violating = np.logical_or.reduce(list(kinds.values()))
+    cut = len(masks)
+    if witness_limit is None:
+        # counters ascend, so the first of each kind is the least
+        take = sorted(i for v in kinds.values() for i in np.flatnonzero(v)[:1].tolist())
+    else:
+        take = np.flatnonzero(violating)[:witness_limit].tolist()
+        if len(take) == witness_limit:
+            cut = take[-1] + 1
+            stats.subsets_enumerated = int(counters[take[-1]]) + 1 - start
+    integral, connected, violating = integral[:cut], connected[:cut], violating[:cut]
+    stats.reduced_count = cut
+    stats.integral_count = int(integral.sum())
+    stats.nonintegral_count = cut - stats.integral_count
+    stats.property_violations = int(violating.sum())
+    k = degree[:cut][connected]
+    strong_applies = perfect | (masks[:cut][connected] & odd_mask != 0)
+    stats.bound_checked = len(k)
+    stats.bound_weak_violations = int((~weak_ok[k]).sum())
+    stats.bound_strong_checked = int(strong_applies.sum())
+    stats.bound_strong_violations = int((strong_applies & ~strong_ok[k]).sum())
+    found = []
+    for i in take:
+        kind = next(kind for kind, v in kinds.items() if v[i])
+        lo, hi = np.searchsorted(rows, (i, i + 1))
+        spectrum = dict(zip(roots[lo:hi].tolist(), mults[lo:hi].tolist()))
+        found.append((kind, int(counters[i]), int(masks[i]), spectrum))
+    return stats, found
 
 
-def _witness(
-    engine: SpectraEngine, group: FiniteGroup, kind: str, counter: int, mask: int, spectrum: dict
-) -> Witness:
+def _witness(group: FiniteGroup, kind: str, counter: int, mask: int, spectrum: dict) -> Witness:
     """The witness of one violating mask; spectrum is empty unless it is integral."""
+    engine = engine_for(group)
     if spectrum:
         detail = {
             "spectrum": {str(r): m for r, m in spectrum.items()},
@@ -411,17 +393,19 @@ def _write_checkpoint(path: str, payload: dict) -> None:
 
 def _load_checkpoint(
     path: str,
-    group: FiniteGroup,
     family: SubsetFamily,
     property_name: str,
     reduce_orbits: bool,
+    witness_limit: Optional[int],
 ) -> Optional[Tuple[int, ScanStats, List[Witness], List[Witness]]]:
     """(next counter, stats, witnesses, least witnesses) saved at path.
 
     None if there is no file yet.  Raises CheckpointError if the file is
     not JSON, lacks a key, holds a value of the wrong type, was written
-    by a different scan, or has a next counter outside [0, subset_count]
-    or other than the count of subsets its stats say were enumerated.
+    by a different scan, has a next counter outside [0, subset_count] or
+    other than the count of subsets its stats say were enumerated, or
+    was written in the other mode: a witness scan lists every violation
+    it counted, and a tally scan lists none.
     """
     if not os.path.exists(path):
         return None
@@ -433,7 +417,7 @@ def _load_checkpoint(
     matches = (
         isinstance(data, dict)
         and data.get("schema") == 1
-        and data.get("group_expr") == group.label
+        and data.get("group_expr") == family.group.label
         and data.get("property") == property_name
         and data.get("reduce") == reduce_orbits
         and data.get("cells") == [list(c) for c in family.cells]
@@ -456,6 +440,13 @@ def _load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path!r} has next_counter {next_counter}, but {enumerated} "
             f"of {family.subset_count} subsets enumerated"
+        )
+    violations, listed = saved[1].property_violations, len(saved[2])
+    if listed if witness_limit is None else violations != listed:
+        mode = "tally" if witness_limit is None else "witness"
+        raise CheckpointError(
+            f"checkpoint {path!r} counts {violations} violations and lists {listed} "
+            f"witnesses, which a {mode} scan cannot resume"
         )
     return saved
 
@@ -492,14 +483,19 @@ def exhaustive_scan(
 ) -> GroupVerdict:
     """Scan every symmetric subset of the group for one property.
 
-    Stops after witness_limit violations; witness_limit None scans the
-    whole range counting violations without materializing witnesses,
-    which keeps every stats field independent of the worker count, and
+    The scan maps _scan_counters over chunks of _CHUNK counters, in
+    process or on a pool of workers, and takes the results in counter
+    order.  A witness scan stops at the counter of its witness_limit-th
+    violation, so its stats count through that counter and exhausted is
+    False unless it is the last one.  witness_limit None scans the whole
+    range counting violations without materializing witnesses, and
     records only the counter-least violation of each kind as
-    least_witnesses.  max_counters bounds how many counters this call
-    processes (the scan is left resumable through its checkpoint); a
-    scan cut short that way has holds=None unless a violation already
-    settled it.
+    least_witnesses.  Witnesses, stats and checkpoints do not depend on
+    the worker count in either mode, and a resumed scan equals a fresh
+    one.  The checkpoint is rewritten after every chunk.  max_counters
+    bounds how many counters this call processes (the scan is left
+    resumable through its checkpoint); a scan cut short that way has
+    holds=None unless a violation already settled it.
     """
     if property_name not in PROPERTIES:
         raise ValueError(f"unknown scan property {property_name!r}")
@@ -510,6 +506,8 @@ def exhaustive_scan(
         )
     if max_counters is not None and max_counters < 0:
         raise ValueError(f"max_counters must be at least 0, got {max_counters}")
+    if witness_limit is not None and witness_limit < 1:
+        raise ValueError(f"witness_limit must be at least 1 or None, got {witness_limit}")
     family = SubsetFamily.of(group)
     total = family.subset_count
     stats = ScanStats()
@@ -517,7 +515,7 @@ def exhaustive_scan(
     least: Dict[str, Witness] = {}
     start = 0
     if checkpoint:
-        saved = _load_checkpoint(checkpoint, group, family, property_name, reduce_orbits)
+        saved = _load_checkpoint(checkpoint, family, property_name, reduce_orbits, witness_limit)
         if saved is not None:
             start, stats, witnesses, saved_least = saved
             least = {w.kind: w for w in saved_least}
@@ -543,66 +541,56 @@ def exhaustive_scan(
                 "least_witnesses": [w.to_json_dict() for w in least.values()],
             })
 
-    parallel = workers > 1 and start < end
-    if parallel:
-        size = max(_CHUNK, ((end - start) // (workers * 8)) // _CHUNK * _CHUNK)
-    else:
-        size = _CHUNK * 8
-    spans = [(s, min(s + size, end)) for s in range(start, end, size)]
     family.build_scan_tables(reduce_orbits)
-    scan = functools.partial(_scan_counters, family, property_name, reduce_orbits=reduce_orbits)
+    scan = functools.partial(
+        _scan_counters, family, property_name,
+        reduce_orbits=reduce_orbits, witness_limit=witness_limit,
+    )
+    starts = range(start, end, _CHUNK)
+    ends = (min(s + _CHUNK, end) for s in starts)
+    parallel = workers > 1 and start < end
     with (
         ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext()
     ) as pool:
-        if pool is None:
-            # serial spans get the remaining limit, so they stop at the last witness
-            results: Iterator[Tuple[ScanStats, List[Witness]]] = (
-                scan(s, e, witness_limit=None if witness_limit is None
-                     else witness_limit - len(witnesses))
-                for s, e in spans
-            )
-        else:
-            # each worker unpickles the family, and with it the group
-            results = pool.map(functools.partial(scan, witness_limit=witness_limit), *zip(*spans))
-        for (s, _e), (part_stats, part_wits) in zip(spans, results):
+        # each worker unpickles the family, and with it the group
+        results = map(scan, starts, ends) if pool is None else pool.map(
+            scan, starts, ends, chunksize=max(1, len(starts) // (workers * 8))
+        )
+        for s, (part_stats, rows) in zip(starts, results):
+            if witnesses and len(witnesses) + len(rows) >= witness_limit:
+                # the chunk reaches the limit after earlier witnesses: its
+                # stats must stop at the last witness still wanted
+                part_stats, rows = scan(
+                    s, min(s + _CHUNK, end), witness_limit=witness_limit - len(witnesses)
+                )
             stats.absorb(part_stats)
-            for w in part_wits:
+            for row in rows:  # (kind, counter, mask, spectrum)
                 if witness_limit is not None:
-                    witnesses.append(w)
-                elif w.kind not in least or w.counter < least[w.kind].counter:
-                    # Conjugation preserves every witness predicate (the
-                    # spectrum, generation, and whether the complement is a
-                    # subgroup), so the counter-least witness overall is the
-                    # counter-least member of its orbit: the one member a
-                    # reduced scan keeps.  Merging by minimum counter makes
-                    # the result independent of spans and worker count.
-                    least[w.kind] = w
-            next_counter = s + part_stats.subsets_enumerated  # spans stop early only on witnesses
+                    witnesses.append(_witness(group, *row))
+                elif row[0] not in least:
+                    # Chunks arrive in counter order, so the first row of a
+                    # kind is the counter-least.  Conjugation preserves every
+                    # witness predicate (the spectrum, generation, and whether
+                    # the complement is a subgroup), so it is also the
+                    # counter-least member of its orbit, the one a reduced
+                    # scan keeps, and hence the least witness overall.
+                    least[row[0]] = _witness(group, *row)
+            next_counter = s + part_stats.subsets_enumerated
             stats.wall_time_ms = wall_base + (time.monotonic() - t0) * 1000.0
             note_progress()
             if witness_limit is not None and len(witnesses) >= witness_limit:
                 if pool is not None:
                     pool.shutdown(cancel_futures=True)
                 break
-        else:
-            next_counter = end
 
     stats.wall_time_ms = wall_base + (time.monotonic() - t0) * 1000.0
-    if witness_limit is not None:
-        witnesses = witnesses[:witness_limit]
-    if stats.property_violations or witnesses:
-        holds: Optional[bool] = False
-    elif next_counter >= total:
-        holds = True
-    else:
-        holds = None
-    next_counter = min(next_counter, total)
+    exhausted = next_counter == total
     note_progress()
     return GroupVerdict(
         group_label=group.label,
         property_name=property_name,
-        holds=holds,
-        exhausted=next_counter >= total,
+        holds=False if stats.property_violations else (True if exhausted else None),
+        exhausted=exhausted,
         witnesses=tuple(witnesses),
         stats=stats,
         least_witnesses=tuple(sorted(least.values(), key=lambda w: w.counter)),
@@ -636,8 +624,10 @@ WITNESS_KIND = {"cayley_integral": "nonintegral", "cis": "integral_noncomplement
 def symmetric_subsets(group: FiniteGroup) -> Iterator[SymmetricSubset]:
     """Stream every symmetric subset of the group in counter order."""
     family = SubsetFamily.of(group)
-    for _, _, masks in _chunks(family, 0, family.subset_count, False):
-        for m in masks.tolist():
+    total = family.subset_count
+    for start in range(0, total, _CHUNK):
+        counters = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
+        for m in _masks_of_counters(counters, family.mask_tables).tolist():
             yield SymmetricSubset(group, m)
 
 

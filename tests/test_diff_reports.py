@@ -43,8 +43,13 @@ def test_cli_reports_write_every_case(tmp_path):
     done = subprocess.run([sys.executable, str(SCRIPT.parent / "cli_reports.py"), str(tmp_path)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "wrote 19 of 19 reports" in done.stdout
-    assert len(list(tmp_path.glob("*.json"))) == 19
+    assert "wrote 21 of 21 reports" in done.stdout
+    assert len(list(tmp_path.glob("*.json"))) == 21
+    d8 = [json.loads((tmp_path / f"check-D8-cis-witness-limit-60-threads-{t}.json").read_text())
+          for t in (1, 2)]
+    for d in d8:
+        d["stats"].pop("wall_time_ms")
+    assert d8[0] == d8[1] and d8[0]["stats"]["property_violations"] == 60
     d4 = json.loads((tmp_path / "check-D4-cayley-integral-witness-limit-3-threads-2.json").read_text())
     assert (d4["group"], d4["holds"], len(d4["witnesses"])) == ("D4", False, 3)
     z7 = json.loads((tmp_path / "spectrum-Z7-0x42.json").read_text())

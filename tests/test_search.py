@@ -13,6 +13,7 @@ from cayley_spectra.cayley import CayleyGraph, SymmetricSubset
 from cayley_spectra.groups import derived_subgroup, is_perfect, is_subgroup, subgroup_group
 from cayley_spectra.integrality import bound_holds, engine_for, verdict
 from cayley_spectra.search import (
+    CheckpointError,
     ScanCapExceeded,
     SubsetFamily,
     _stats_from_json,
@@ -279,6 +280,73 @@ def test_resume_across_worker_counts(tmp_path):
         assert _stats_from_json(d).to_json_dict() == d
 
 
+def _verdict_json(gv):
+    """A scan's report less wall_time_ms, with its least witnesses."""
+    d = gv.to_json_dict()
+    d["stats"].pop("wall_time_ms")
+    return d, [w.to_json_dict() for w in gv.least_witnesses]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_witness_limit_below_one_rejected(limit):
+    with pytest.raises(ValueError, match="witness_limit"):
+        exhaustive_scan(build_cached("D4"), "cayley_integral", witness_limit=limit)
+
+
+@pytest.mark.parametrize("label,prop,first,limit,workers", [
+    ("D4", "cayley_integral", 1, 3, 1),
+    ("D8", "cis", 20, 60, 1),  # the 60th witness lies in the second chunk
+    ("D8", "cis", 20, 60, 2),
+])
+def test_resumed_witness_scan_equals_fresh(tmp_path, label, prop, first, limit, workers):
+    g = build_cached(label)
+    ckpt = str(tmp_path / "scan.json")
+    exhaustive_scan(g, prop, witness_limit=first, checkpoint=ckpt, workers=workers)
+    resumed = exhaustive_scan(g, prop, witness_limit=limit, checkpoint=ckpt, workers=workers)
+    fresh = exhaustive_scan(g, prop, witness_limit=limit)
+    assert len(fresh.witnesses) == limit and not fresh.exhausted
+    assert _verdict_json(resumed) == _verdict_json(fresh)
+
+
+def test_witness_scan_independent_of_workers():
+    """D8's 60th cis witness is counter 2751, past the first chunk, where
+    the second worker's chunk holds more violations than the limit wants."""
+    g = build_cached("D8")
+    one = exhaustive_scan(g, "cis", witness_limit=60, workers=1)
+    two = exhaustive_scan(g, "cis", witness_limit=60, workers=2)
+    assert one.stats.property_violations == 60
+    assert _verdict_json(one) == _verdict_json(two)
+
+
+@pytest.mark.parametrize("label,prop,limit", [("D4", "cayley_integral", 3), ("D8", "cis", 60)])
+def test_witness_stop_checkpoint_next_counter(tmp_path, label, prop, limit):
+    ckpt = tmp_path / "scan.json"
+    gv = exhaustive_scan(build_cached(label), prop, witness_limit=limit, checkpoint=str(ckpt))
+    state = json.loads(ckpt.read_text())
+    last = gv.witnesses[-1].counter
+    assert state["next_counter"] == last + 1 == gv.stats.subsets_enumerated
+    assert len(state["witnesses"]) == state["stats"]["property_violations"] == limit
+
+
+def test_resume_refuses_the_other_mode(tmp_path):
+    """A tally checkpoint past D4's violations at counters 12-14 lists no
+    witness, and a witness checkpoint lists no least witness, so neither
+    can resume in the other mode."""
+    g = build_cached("D4")
+    tally = str(tmp_path / "tally.json")
+    exhaustive_scan(g, "cayley_integral", witness_limit=None, checkpoint=tally, max_counters=32)
+    with pytest.raises(CheckpointError, match="witness scan cannot resume"):
+        exhaustive_scan(g, "cayley_integral", witness_limit=3, checkpoint=tally)
+    witness = str(tmp_path / "witness.json")
+    exhaustive_scan(g, "cayley_integral", witness_limit=2, checkpoint=witness)
+    with pytest.raises(CheckpointError, match="tally scan cannot resume"):
+        exhaustive_scan(g, "cayley_integral", witness_limit=None, checkpoint=witness)
+    fresh = exhaustive_scan(g, "cayley_integral", witness_limit=3)
+    assert [w.counter for w in fresh.witnesses] == [12, 13, 14]
+    fresh = exhaustive_scan(g, "cayley_integral", witness_limit=None)
+    assert fresh.witnesses == () and [w.counter for w in fresh.least_witnesses] == [12]
+
+
 # ---------------------------------------------------------------------------
 # the array scan against per-subset references
 # ---------------------------------------------------------------------------
@@ -317,7 +385,7 @@ def test_byte_table_masks_match_mask_of_counter(label):
 
 
 def test_scan_tables_built_once_per_scan(monkeypatch):
-    """Z2^4's 2^15 counters run as two serial spans, which share one build."""
+    """Z2^4's 2^15 counters run as 16 chunks, which share one build."""
     calls = {"perms": 0, "perfect": 0}
     perms, perfect = SubsetFamily.conjugation_cell_perms, search.is_perfect
 
@@ -347,9 +415,9 @@ def test_pickled_family_carries_its_tables():
 
 def _reference_scan(g, prop, reduce_orbits, witness_limit):
     """(stats less wall_time_ms, witnesses as JSON) of a scan, one subset
-    at a time from the exact route, is_subgroup and bound_holds.  Every
-    group here fits in one chunk, so a scan that reaches witness_limit
-    tallies up to its last witness."""
+    at a time from the exact route, is_subgroup and bound_holds.  A scan
+    that reaches witness_limit stops at its last witness: every stats
+    field counts through that counter."""
     family = SubsetFamily.of(g)
     assert family.subset_count <= search._CHUNK
     n, full = g.order, (1 << g.order) - 1
@@ -397,6 +465,7 @@ def _reference_scan(g, prop, reduce_orbits, witness_limit):
             {"kind": kind, "counter": c, "bits": hex(m), "subset": names(m), "detail": detail}
         )
         if len(witnesses) == witness_limit:
+            stats["subsets_enumerated"], stats["reduced_count"] = c + 1, masks.index(m) + 1
             break
     return stats, witnesses
 

@@ -297,21 +297,32 @@ def test_run_verification_rejects_bad_arguments(monkeypatch, capsys, tmp_path, a
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize(
-    "damage",
-    [
-        "other_scan", "truncated", "missing_key", "malformed_stats",
-        "counter_negative", "counter_past_end", "counter_not_enumerated",
-    ],
-)
+# the message of each damage; an undamaged checkpoint resumes
+CHECKPOINT_DAMAGE = {
+    "none": None,
+    "other_scan": "does not match this scan",
+    "truncated": "is not valid JSON",
+    "missing_key": "lacks the key",
+    "malformed_stats": "is malformed",
+    "counter_negative": "has next_counter -1",
+    "counter_past_end": "has next_counter 65",
+    "counter_not_enumerated": "has next_counter 64, but 8",
+    "mode_mismatch": "which a witness scan cannot resume",
+}
+
+
+@pytest.mark.parametrize("damage", list(CHECKPOINT_DAMAGE))
 def test_checkpoint_error_exit_code(capsys, tmp_path, damage):
-    """A damaged checkpoint exits 5.  D4 has 64 subsets and the scan stops
-    at counter 16; a next counter of 64 that its stats do not back would
-    report a verdict on one chunk as exhausted."""
+    """A damaged checkpoint exits 5.  D4 has 64 subsets, and the witness
+    scan is cut at counter 8, before its first violation at 12; a next
+    counter of 64 that its stats do not back would report a verdict on
+    eight subsets as exhausted.  A tally checkpoint at counter 16 has
+    counted violations it does not list, so `check` cannot resume it."""
     ckpt = tmp_path / "scan.json"
     exhaustive_scan(
-        build_cached("D4"), "cayley_integral", witness_limit=None,
-        checkpoint=str(ckpt), max_counters=16,
+        build_cached("D4"), "cayley_integral",
+        witness_limit=None if damage == "mode_mismatch" else 1,
+        checkpoint=str(ckpt), max_counters=16 if damage == "mode_mismatch" else 8,
     )
     group = "D4"
     if damage == "other_scan":
@@ -319,7 +330,7 @@ def test_checkpoint_error_exit_code(capsys, tmp_path, damage):
     elif damage == "truncated":
         text = ckpt.read_text()
         ckpt.write_text(text[: len(text) // 2])
-    else:
+    elif damage not in ("none", "mode_mismatch"):
         state = json.loads(ckpt.read_text())
         if damage == "missing_key":
             del state["next_counter"]
@@ -334,9 +345,12 @@ def test_checkpoint_error_exit_code(capsys, tmp_path, damage):
     rc = cli.main(
         ["check", group, "cayley-integral", "--threads", "1", "--checkpoint", str(ckpt)]
     )
-    err = capsys.readouterr().err
-    assert rc == 5
-    assert err.startswith("checkpoint error: ")
+    out, err = capsys.readouterr()
+    if damage == "none":
+        assert rc == 0 and json.loads(out)["witnesses"][0]["counter"] == 12
+    else:
+        assert rc == 5
+        assert err.startswith("checkpoint error: ") and CHECKPOINT_DAMAGE[damage] in err
 
 
 def test_version_flag(capsys):
