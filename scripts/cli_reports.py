@@ -28,6 +28,9 @@ CHECKS = [
     ["S4", "cayley-integral", "--witness-limit", "5", "--no-reduce"],
     ["Q8xZ2", "cis", "--witness-limit", "4"],
     ["D8", "cis", "--witness-limit", "60"],  # the limit is reached past the first chunk
+    ["Z27", "cis", "--witness-limit", "3"],  # scanned on Galois orbits of characters
+    ["Dic12xZ2", "cayley-integral"],  # scanned on a product system
+    ["S3xZ3", "cayley-integral"],
 ]
 SPECTRA = [
     ["A4", "(13)(24),(14)(23),(123),(132)"],

@@ -19,12 +19,18 @@ from functools import lru_cache, reduce
 from typing import Optional, Union
 
 from .groups import FiniteGroup, direct_product, semidirect_product
+from .intlinalg import SizeLimitError
 
 MAX_ORDER = 64
 
 
 class GroupParseError(ValueError):
     """Raised when a group expression does not match the grammar."""
+
+
+class GroupOrderError(GroupParseError, SizeLimitError):
+    """Raised when a well-formed group expression has an order above
+    MAX_ORDER.  It stays a GroupParseError for callers that catch one."""
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +451,7 @@ def _build(e: GroupExpr) -> FiniteGroup:
     except KeyError as exc:
         raise GroupParseError(f"unknown group name {exc.args[0]!r}") from exc
     if total > MAX_ORDER:
-        raise GroupParseError(
+        raise GroupOrderError(
             f"group order {total} exceeds the supported maximum {MAX_ORDER}"
         )
     try:

@@ -8,7 +8,8 @@ Commands:
 
 Exit codes: 0 ok, 1 verification mismatch, 2 parse error, 3 asymmetric
 subset, 4 exhaustive cap exceeded without --force, 5 unusable checkpoint,
-6 a --json or --checkpoint path that cannot be opened.
+6 a --json or --checkpoint path that cannot be opened, 7 a group order
+or coefficient bound beyond what the exact arithmetic supports.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .catalog import GroupParseError
 from .cayley import AsymmetricSubsetError, CayleyGraph, SymmetricSubset
 from .groups import FiniteGroup
 from .integrality import verdict
+from .intlinalg import SizeLimitError
 from .search import SCAN_ORDER_CAP, CheckpointError, ScanCapExceeded, exhaustive_scan
 from .suites import SUITE_NAMES, run_suite
 
@@ -34,6 +36,7 @@ EXIT_ASYMMETRIC = 3
 EXIT_CAP_EXCEEDED = 4
 EXIT_CHECKPOINT = 5
 EXIT_IO = 6
+EXIT_SIZE_LIMIT = 7
 
 
 def _canonical_json(d: dict) -> str:
@@ -261,6 +264,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_IO
+    except SizeLimitError as e:  # before GroupParseError: the order cap is both
+        print(f"size limit: {e}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
     except GroupParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -33,6 +33,7 @@ from .groups import FiniteGroup, is_perfect
 from .intlinalg import (
     IntMatrix,
     IntPolynomial,
+    SizeLimitError,
     _newton_batch,
     charpoly_coeff_bound,
     crt_lift,
@@ -135,7 +136,7 @@ class SpectraEngine:
 
     def __init__(self, group: FiniteGroup) -> None:
         if group.order > 64:
-            raise ValueError(f"spectra engine supports order at most 64, got {group.order}")
+            raise SizeLimitError(f"spectra engine supports order at most 64, got {group.order}")
         self.n = group.order
         self.identity = group.identity
         self.xyinv = group.xy_inv_table()

@@ -29,6 +29,12 @@ PRIMES = (
 ANNIHILATOR_MAX_ORDER = 12
 
 
+class SizeLimitError(ValueError):
+    """A well-formed input beyond a size the exact arithmetic supports:
+    a group order above the catalog's or the engine's cap, or a
+    coefficient bound past the CRT primes' capacity."""
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -324,7 +330,7 @@ def primes_for_bound(bound: int) -> tuple:
         acc *= p
         if acc >= need:
             return PRIMES[: i + 1]
-    raise ValueError("coefficient bound exceeds available CRT capacity")
+    raise SizeLimitError("coefficient bound exceeds available CRT capacity")
 
 
 @lru_cache(maxsize=None)

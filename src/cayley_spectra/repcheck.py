@@ -419,15 +419,51 @@ def _abelian_generators(expr) -> Optional[List[Tuple[int, int]]]:
     return None
 
 
+def product_system(group: FiniteGroup, left: RepSystem, right: RepSystem) -> RepSystem:
+    """The system {rho x sigma} of group = left x right, element (a, b) at
+    index a |right| + b as direct_product numbers it.
+
+    The irreducibles of a direct product are exactly the outer tensor
+    products of the factors' irreducibles.  One factor must be realised
+    over Z (phi(m) = 1, m <= 2): its images are integer matrices, so
+    kron(int image, other image) keeps every phi x phi block a
+    multiplication matrix, and the product lives over the other
+    factor's Z[zeta_m].  When both factors have phi(m) > 1, kron of the
+    realified images would give the sum of rho x tau(sigma) over the
+    Galois conjugates tau(sigma), not rho x sigma, so that case raises.
+    RepSystem's checks certify the result on group's own table.
+    """
+    flat = [len(_cyclotomic(s.m)) == 2 for s in (left, right)]
+    if not any(flat):
+        raise ValueError("both factors have phi(m) > 1; kron of their images is not their product")
+    m = right.m if flat[0] else left.m
+    # kron(int, other) at (a, b): entry (p, q) of the int image scales the other's image
+    spec = "iab,jcd->ijacbd" if flat[0] else "icd,jab->ijacbd"
+    reps = []
+    for a in left.reps:
+        for b in right.reps:
+            images = np.einsum(spec, a.images, b.images)
+            size = images.shape[2] * images.shape[3]
+            images = images.reshape(group.order, size, size)
+            reps.append(ExplicitRep(group, f"{a.label}x{b.label}", images, m))
+    return RepSystem(group, reps)
+
+
 def system_for(expr: str) -> RepSystem:
-    """The shipped complete irreducible system for a catalog expression."""
-    label = catalog.parse_group_expr(expr).to_string()
+    """The shipped complete irreducible system for a catalog expression:
+    a hand-built one, the characters of a catalog abelian group, or the
+    product_system of a direct product's factors."""
+    e = catalog.parse_group_expr(expr)
+    label = e.to_string()
     if label in _SYSTEM_BUILDERS:
         return _SYSTEM_BUILDERS[label]()
-    gens = _abelian_generators(label)
-    if gens is None:
-        raise ValueError(f"no shipped representation system for {expr!r}")
-    return abelian_character_system(catalog.build_cached(label), gens)
+    gens = _abelian_generators(e)
+    if gens is not None:
+        return abelian_character_system(catalog.build_cached(label), gens)
+    if isinstance(e, catalog.Product):
+        left, right = system_for(e.left.to_string()), system_for(e.right.to_string())
+        return product_system(catalog.build_cached(label), left, right)
+    raise ValueError(f"no shipped representation system for {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ Two group properties are scanned for:
                      forces the complement (plus identity) to be a
                      subgroup.
 
-Scans stream in numpy chunks through the engine's batched certificate
-(SpectraEngine.certify), can run across several worker processes, and
-can checkpoint and resume.
+Scans stream in numpy chunks through a batched certificate: the
+group's Fourier table (fourier.FourierTable.certify) where it has one,
+else the engine's power-sum walk (SpectraEngine.certify).  They can run
+across several worker processes, and can checkpoint and resume.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .cayley import SymmetricSubset
+from .fourier import FourierTable, fourier_table
 from .groups import FiniteGroup, is_perfect
 from .integrality import bound_holds, engine_for
 
@@ -123,10 +125,16 @@ class SubsetFamily:
         weak, strong = np.array([bound_holds(g.order, k, True) for k in range(g.order)]).T
         return is_perfect(g), np.uint64(odd), weak, strong
 
+    @functools.cached_property
+    def fourier(self) -> Optional[FourierTable]:
+        """The group's Fourier table (built once per group, on its first
+        scan), or None where the scan takes the power-sum walk."""
+        return fourier_table(self.group)
+
     def build_scan_tables(self, reduce_orbits: bool) -> None:
         """Build the tables a scan reads before it maps its chunks, so the
         chunks share them and pool workers unpickle them with the family."""
-        self.mask_tables, self.bound_tables
+        self.mask_tables, self.bound_tables, self.fourier
         if reduce_orbits:
             self.orbit_tables
 
@@ -303,25 +311,27 @@ def _scan_counters(
     counter.  With reduce_orbits, only the counter-minimal member of
     each conjugation orbit is kept.
 
-    The chunk stays in numpy from counter to tally, with certify's
-    arrays: a mask is connected when eigenvalue k = |S| has multiplicity
+    The chunk stays in numpy from counter to tally, with the five arrays
+    of the family's Fourier table or, without one, of the engine's walk
+    (both certify the same way, and the tests hold them equal): a mask
+    is connected when eigenvalue k = |S| has multiplicity
     1; the weak and strong bounds are read off the family's bound_tables,
     the strong one checked where G is perfect or S meets odd_mask; cis
     asks _complement_subgroups.  Python sees only the candidate rows.
     """
-    engine = engine_for(family.group)
     perfect, odd_mask, weak_ok, strong_ok = family.bound_tables
     stats = ScanStats(subsets_enumerated=end - start)
     counters = np.arange(start, end, dtype=np.uint64)
     if reduce_orbits and len(family.orbit_tables):
         counters = counters[_canonical_keep(counters, family.orbit_tables)]
     masks = _masks_of_counters(counters, family.mask_tables)
-    degree, integral, rows, roots, mults = engine.certify(masks)
+    certify = (family.fourier or engine_for(family.group)).certify
+    degree, integral, rows, roots, mults = certify(masks)
     top = roots == degree[rows]
     connected = np.zeros(len(masks), dtype=bool)
     connected[rows[top]] = mults[top] == 1
     if property_name == "cis":
-        comp_subgroup = _complement_subgroups(masks, degree, engine.xyinv)
+        comp_subgroup = _complement_subgroups(masks, degree, family.group.xy_inv_table())
         kinds = {
             "integral_noncomplement": connected & ~comp_subgroup,
             "subgroup_complement_nonintegral": ~integral & comp_subgroup,
@@ -403,9 +413,11 @@ def _load_checkpoint(
     None if there is no file yet.  Raises CheckpointError if the file is
     not JSON, lacks a key, holds a value of the wrong type, was written
     by a different scan, has a next counter outside [0, subset_count] or
-    other than the count of subsets its stats say were enumerated, or
-    was written in the other mode: a witness scan lists every violation
-    it counted, and a tally scan lists none.
+    other than the count of subsets its stats say were enumerated, was
+    written in the other mode (a witness scan lists every violation it
+    counted, and a tally scan lists none), or lists more witnesses than
+    witness_limit: its stats count through its last witness, and a
+    checkpoint cannot be wound back to an earlier counter.
     """
     if not os.path.exists(path):
         return None
@@ -447,6 +459,11 @@ def _load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path!r} counts {violations} violations and lists {listed} "
             f"witnesses, which a {mode} scan cannot resume"
+        )
+    if witness_limit is not None and listed > witness_limit:
+        raise CheckpointError(
+            f"checkpoint {path!r} lists {listed} witnesses, more than the limit "
+            f"{witness_limit}, and cannot be wound back to an earlier counter"
         )
     return saved
 
@@ -492,10 +509,11 @@ def exhaustive_scan(
     records only the counter-least violation of each kind as
     least_witnesses.  Witnesses, stats and checkpoints do not depend on
     the worker count in either mode, and a resumed scan equals a fresh
-    one.  The checkpoint is rewritten after every chunk.  max_counters
-    bounds how many counters this call processes (the scan is left
-    resumable through its checkpoint); a scan cut short that way has
-    holds=None unless a violation already settled it.
+    one (_load_checkpoint refuses a resume that could not).  The
+    checkpoint is rewritten after every chunk.  max_counters bounds how
+    many counters this call processes (the scan is left resumable
+    through its checkpoint); a scan cut short that way has holds=None
+    unless a violation already settled it.
     """
     if property_name not in PROPERTIES:
         raise ValueError(f"unknown scan property {property_name!r}")

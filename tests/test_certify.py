@@ -5,7 +5,10 @@ most min(k, n-1-k) steps modulo one prime, multiplicities from one
 Lagrange product, then an annihilator check on the identity row.
 split_results lifts the char poly by CRT and splits its integer roots.
 They share only the adjacency builder, so each is an oracle for the
-other.  The abelian checks and the closed forms below use nothing but
+other.  These tests call SpectraEngine.certify itself, so every group
+they list is tested on the walk, including the groups whose scans read
+the Fourier table instead (tests/test_fourier.py holds that table equal
+to the walk).  The abelian checks and the closed forms below use nothing but
 the multiplication table; the arithmetic tests pin the bounds that keep
 certify's float64 products exact.
 """

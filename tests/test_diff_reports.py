@@ -43,8 +43,8 @@ def test_cli_reports_write_every_case(tmp_path):
     done = subprocess.run([sys.executable, str(SCRIPT.parent / "cli_reports.py"), str(tmp_path)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "wrote 21 of 21 reports" in done.stdout
-    assert len(list(tmp_path.glob("*.json"))) == 21
+    assert "wrote 27 of 27 reports" in done.stdout
+    assert len(list(tmp_path.glob("*.json"))) == 27
     d8 = [json.loads((tmp_path / f"check-D8-cis-witness-limit-60-threads-{t}.json").read_text())
           for t in (1, 2)]
     for d in d8:

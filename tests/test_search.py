@@ -308,6 +308,23 @@ def test_resumed_witness_scan_equals_fresh(tmp_path, label, prop, first, limit, 
     assert _verdict_json(resumed) == _verdict_json(fresh)
 
 
+def test_resume_refuses_a_smaller_witness_limit(tmp_path):
+    """D4's witness checkpoint at limit 3 counts through counter 14, its
+    third violation; a fresh limit-1 scan stops at 12.  The checkpoint
+    cannot be wound back, so resuming it at limit 1 is refused, and at
+    limit 3 it still equals the fresh scan."""
+    g = build_cached("D4")
+    ckpt = str(tmp_path / "scan.json")
+    exhaustive_scan(g, "cayley_integral", witness_limit=3, checkpoint=ckpt)
+    with pytest.raises(CheckpointError, match="lists 3 witnesses, more than the limit 1"):
+        exhaustive_scan(g, "cayley_integral", witness_limit=1, checkpoint=ckpt)
+    fresh = exhaustive_scan(g, "cayley_integral", witness_limit=1)
+    assert [w.counter for w in fresh.witnesses] == [12]
+    assert fresh.stats.subsets_enumerated == 13
+    resumed = exhaustive_scan(g, "cayley_integral", witness_limit=3, checkpoint=ckpt)
+    assert _verdict_json(resumed) == _verdict_json(exhaustive_scan(g, "cayley_integral", witness_limit=3))
+
+
 def test_witness_scan_independent_of_workers():
     """D8's 60th cis witness is counter 2751, past the first chunk, where
     the second worker's chunk holds more violations than the limit wants."""

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cayley_spectra import __version__, cli
+from cayley_spectra import __version__, cli, integrality, intlinalg
 from cayley_spectra.catalog import build_cached
 from cayley_spectra.search import exhaustive_scan
 from cayley_spectra.suites import SUITE_NAMES, clear_memos, run_suite
@@ -251,7 +251,7 @@ def test_catalog_show_requires_expr(capsys):
     "argv,code",
     [
         (["spectrum", "Z0", ""], 2),
-        (["spectrum", "Z128", ""], 2),
+        (["spectrum", "Z128", ""], 7),
         (["spectrum", "Wat5", ""], 2),
         (["spectrum", "Z4", "nope"], 2),
         (["spectrum", "Z4", "1"], 3),
@@ -267,6 +267,7 @@ def test_catalog_show_requires_expr(capsys):
         (["catalog", "list", "--order", "0"], 2),
         (["catalog", "list", "--order", "13"], 2),
         (["catalog", "list", "--order", "-1"], 2),
+        (["spectrum", "Z9xZ9", "0x2"], 7),
     ],
 )
 def test_error_exit_codes(capsys, tmp_path, argv, code):
@@ -278,6 +279,22 @@ def test_error_exit_codes(capsys, tmp_path, argv, code):
         rc = e.code
     capsys.readouterr()
     assert rc == code
+
+
+def test_crt_capacity_exit_code(monkeypatch, capsys):
+    """A char-poly coefficient bound past the CRT primes' capacity exits 7
+    with its own message, like the order cap.  No catalog group reaches
+    it, so the primes are cut to one."""
+    monkeypatch.setattr(intlinalg, "PRIMES", intlinalg.PRIMES[:1])
+    integrality._primes_for_degree.cache_clear()
+    try:
+        rc = cli.main(["spectrum", "Q8xZ2^2", "0x7e"])
+    finally:
+        integrality._primes_for_degree.cache_clear()
+    assert rc == 7
+    assert capsys.readouterr().err.startswith("size limit: coefficient bound exceeds")
+    assert cli.main(["spectrum", "Z9xZ9", "0x2"]) == 7
+    assert "size limit: group order 81 exceeds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
