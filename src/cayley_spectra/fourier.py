@@ -5,11 +5,14 @@ left-regular representation, so its spectrum is the union, over a
 complete system of irreducible representations rho_t of degree d_t, of
 the eigenvalues of rho_t(S), each taken d_t times (Babai, Spectra of
 Cayley graphs, JCTB 27, 1979).  Where every d_t <= 2 and the images are
-known, one product certifies a whole chunk of masks:
+known, the power-basis coordinates of every rho_t(S) entry are a sum
+over S of W (n, columns), the coordinates of every rho_t(g), and a
+whole chunk of masks takes one table gather per mask byte:
 
-    bits (b, n) @ W (n, columns)
+    coords (b, columns) = sum_i B[i, byte_i(mask)],
+    B[i, v] = sum of W[8i + j] over the bits j set in v,
 
-gives the power-basis coordinates of every rho_t(S) entry.  Every entry
+the idiom of search._byte_tables for counter -> mask.  Every entry
 lies in Z[zeta_m], and 1, zeta, ..., zeta^(phi-1) is a Q-basis of
 Q(zeta_m), so an entry is rational (and, being an algebraic integer, an
 integer) iff its coordinates 1..phi-1 are zero.  Nothing depends on the
@@ -52,12 +55,23 @@ Any failure leaves the group without a table, and its scans take the
 power-sum walk (SpectraEngine.certify), which is also this route's
 oracle in the tests; the two share no code.
 
-Exactness.  bits is 0/1 and W holds integer coordinates of size at most
-w, so every coordinate of the first product is an integer below n w;
-the determinant's product sums 2 phi^2 terms below (n w)^2 c, c the
-largest coordinate of a product of two basis elements.  A table is
-built only when that stays below 2^53, so every float64 here is an
-exact integer.
+Exactness.  W holds integer coordinates of size at most w, and every
+partial sum of the gathers, B[i, v] included, is a sum of W rows over
+a subset of S, so it lies in [-n w, n w].  B is int16, and a table is
+built only when n w <= 2^15 - 1 (every shipped table has n w <= 64),
+so the int16 sums are exact and do not wrap.  Everything after the
+gathers is int64: the determinant's product sums 2 phi^2 terms below
+(n w)^2 c, c the largest coordinate of a product of two basis
+elements, and a table is built only when that stays below 2^53.  The
+one float is the square root of t^2 - 4D (below 2^14 where t and D are
+rational, as above), and squaring the rounded root back in int64
+checks it.
+
+No step of certify is a BLAS call: the coordinates are gathers, and
+the determinant's product is an int64 matmul, which numpy does in its
+own loops.  OpenBLAS spreads a float64 product of a chunk's size over
+all of its threads, so pool workers would compete for the cores with
+each other's BLAS threads.
 """
 
 from __future__ import annotations
@@ -91,22 +105,37 @@ class FourierTable:
             raise ValueError("the table's eigenvalue weights do not add up to |G|")
         self.weights = weights.astype(np.float64)
         self.tensor = _product_tensor(m).reshape(self.phi * self.phi, self.phi)
-        w = max(int(np.abs(chars).max(initial=0)), int(np.abs(blocks).max(initial=0)))
-        top = (self.n * w) ** 2 * int(np.abs(self.tensor).max()) * 2 * self.phi**2
-        if max(top, self.n * w) >= 2**53:
-            raise ValueError("coordinates too large for exact float64 products")
-        self.w = np.hstack([chars.reshape(self.n, -1), blocks.reshape(self.n, -1)]).astype(np.float64)
+        w = np.hstack([chars.reshape(self.n, -1), blocks.reshape(self.n, -1)]).astype(np.int64)
+        bound = self.n * int(np.abs(w).max(initial=0))
+        if bound > np.iinfo(np.int16).max:
+            raise ValueError(f"coordinates up to {bound} are too large for int16 byte tables")
+        top = bound**2 * int(np.abs(self.tensor).max()) * 2 * self.phi**2
+        if top >= 2**53:
+            raise ValueError("coordinates too large for exact determinant products")
+        # bytes[i, v] = sum of w[8i + j] over the bits j set in v
+        padded = np.zeros((-(-self.n // 8) * 8, w.shape[1]), dtype=np.int64)
+        padded[: self.n] = w
+        bits = (np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1
+        self.bytes = (bits @ padded.reshape(-1, 8, w.shape[1])).astype(np.int16)
+
+    def coords(self, masks: np.ndarray) -> np.ndarray:
+        """(b, columns) int16: the power-basis coordinates of every
+        rho_t(S), one gather per mask byte."""
+        octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        out = self.bytes[0, octets[:, 0]]
+        for i in range(1, len(self.bytes)):
+            out += self.bytes[i, octets[:, i]]
+        return out
 
     def certify(self, masks: np.ndarray) -> Tuple[np.ndarray, ...]:
         """(degree, integral, rows, roots, mults) for a batch of masks, in
         input order, as SpectraEngine.certify returns them: the spectra of
         the integral masks come flat, rows ascending and each row's roots
         descending, every multiplicity > 0."""
-        masks = np.ascontiguousarray(masks, dtype="<u8")
+        masks = np.asarray(masks, dtype=np.uint64)
         n, b, f = self.n, len(masks), self.phi
-        bits = np.unpackbits(masks.view(np.uint8), bitorder="little").reshape(b, 64)[:, :n]
-        degree = bits.sum(axis=1, dtype=np.int64)
-        coords = bits.astype(np.float64) @ self.w
+        degree = np.bitwise_count(masks).astype(np.int64)
+        coords = self.coords(masks).astype(np.int64)
         split = self.chars_count * f
         chars = coords[:, :split].reshape(b, self.chars_count, f)
         blocks = coords[:, split:].reshape(b, self.blocks_count, 2, 2, f)
@@ -117,11 +146,11 @@ class FourierTable:
         det = (left.reshape(-1, f * f) @ self.tensor).reshape(b, self.blocks_count, f)
         integral &= ~(trace[:, :, 1:].any(axis=(1, 2)) | det[:, :, 1:].any(axis=(1, 2)))
         disc = trace[:, :, 0] ** 2 - 4 * det[:, :, 0]  # (l1 - l2)^2 <= 4 k^2 where rational
-        root = np.rint(np.sqrt(np.maximum(disc, 0.0)))  # root^2 >= 0 > disc when disc < 0
+        root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)  # root^2 >= 0 > disc when disc < 0
         integral &= (root * root == disc).all(axis=1)
         keep = np.flatnonzero(integral)
         t, s = trace[keep, :, 0], root[keep]
-        values = np.hstack([chars[keep, :, 0], (t + s) / 2, (t - s) / 2]).astype(np.int64)
+        values = np.hstack([chars[keep, :, 0], (t + s) // 2, (t - s) // 2])
         weights = np.concatenate([self.weights, np.full(2 * self.blocks_count, 2.0)])
         width = 2 * n + 1  # n - value lies in [0, 2n], ascending as the value descends
         keys = np.arange(len(keep))[:, None] * width + (n - values)

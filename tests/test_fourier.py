@@ -176,13 +176,71 @@ def test_table_is_cached_weakly_and_built_lazily():
     assert ref() is None
 
 
-def test_exactness_guard():
-    """The table refuses coordinates whose products could leave float64's
-    exact integers: here (4 * 2^24)^2 * 2 = 2^53."""
+def test_exactness_guard(monkeypatch):
+    """The table refuses coordinates whose sums could wrap its int16 byte
+    tables (here 4 * 2^24), and determinant products that could reach
+    2^53: over Z[zeta_2], with the product tensor scaled to 2^48, one
+    block of entries 1 on 4 elements sums 2 terms below 4^2 * 2^48 = 2^52."""
     chars = np.zeros((4, 0, 1), dtype=np.int64)
     blocks = np.full((4, 1, 2, 2, 1), 2**24, dtype=np.int64)
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(ValueError, match="too large for int16"):
         fourier.FourierTable(2, chars, np.zeros(0), blocks)
+    blocks = np.ones((4, 1, 2, 2, 1), dtype=np.int64)
+    tensor = fourier._product_tensor
+    monkeypatch.setattr(fourier, "_product_tensor", lambda m: tensor(m) << 47)
+    fourier.FourierTable(2, chars, np.zeros(0), blocks)
+    monkeypatch.setattr(fourier, "_product_tensor", lambda m: tensor(m) << 48)
+    with pytest.raises(ValueError, match="too large for exact determinant"):
+        fourier.FourierTable(2, chars, np.zeros(0), blocks)
+
+
+def _dense_rows(table):
+    """W, the coordinates of every element's image, read back from the
+    byte tables as W[8i + j] = bytes[i, 1 << j], with the padding rows
+    past n."""
+    return np.concatenate([table.bytes[i, 1 << np.arange(8)] for i in range(len(table.bytes))]).astype(np.int64)
+
+
+@pytest.mark.parametrize("label", [e for e, _ in catalog_up_to_12() if e not in WALK_12] + SAMPLED)
+def test_byte_tables_equal_the_dense_product(label):
+    """Every byte value at every byte position, and seeded whole masks,
+    give bits @ W.  Padding rows are zero, so bits past n add nothing,
+    and every shipped table has n w <= 64, far inside int16."""
+    g = build_cached(label)
+    table = fourier.fourier_table(g)
+    w = _dense_rows(table)
+    assert not w[g.order :].any()
+    assert g.order * np.abs(w).max() <= 64
+    v = np.arange(256, dtype=np.uint64)
+    single = np.concatenate([v << np.uint64(8 * i) for i in range(len(table.bytes))])
+    for masks in (single, _masks(g, 1 << 10, seed=3)):
+        bits = np.unpackbits(masks.view(np.uint8), bitorder="little").reshape(-1, 64)[:, : len(w)]
+        assert np.array_equal(table.coords(masks), bits.astype(np.int64) @ w), label
+
+
+def test_integer_range_guard(monkeypatch):
+    """n w = 4 * 8191 fits int16 and sums exactly; 4 * 8192 = 2^15 does
+    not.  A table scaled past the range is refused and the group takes
+    the walk, with the same reports as under its true table."""
+    chars = np.full((4, 1, 1), 8191, dtype=np.int64)
+    table = fourier.FourierTable(2, chars, np.array([4]), np.zeros((4, 0, 2, 2, 1), dtype=np.int64))
+    assert table.coords(np.array([0b1111, 0b0110], dtype=np.uint64)).tolist() == [[32764], [16382]]
+    with pytest.raises(ValueError, match="too large for int16"):
+        fourier.FourierTable(2, chars + 1, np.array([4]), np.zeros((4, 0, 2, 2, 1), dtype=np.int64))
+    real = fourier.FourierTable
+
+    def scaled(m, chars, weights, blocks):  # n w = 8 * 4096 = 2^15 on Z4xZ2
+        return real(m, chars * 4096, weights, blocks * 4096)
+
+    monkeypatch.setattr(fourier, "FourierTable", scaled)
+    bad = [_copy("Z4xZ2"), _copy("Q8xZ2")]
+    assert [fourier.fourier_table(g) for g in bad] == [None, None]
+    monkeypatch.undo()
+    for g in bad:
+        good = _copy(g.label)
+        assert fourier.fourier_table(good) is not None
+        for prop in ("cayley_integral", "cis"):
+            assert _scan_json(g, prop) == _scan_json(good, prop)
 
 
 def test_two_by_two_rule():

@@ -240,6 +240,18 @@ def test_workers_scan_a_group_outside_the_catalog(monkeypatch):
     g, _ = subgroup_group(s4, derived_subgroup(s4))
     assert (g.label, SubsetFamily.of(g).subset_count) == ("S4<12>", 128)
     serial = exhaustive_scan(g, "cayley_integral", workers=1, witness_limit=None)
+    pools = _spy_pools(monkeypatch)
+    pooled = exhaustive_scan(g, "cayley_integral", workers=2, witness_limit=None)
+    assert pools == [2]
+    a, b = pooled.stats.to_json_dict(), serial.stats.to_json_dict()
+    a.pop("wall_time_ms")
+    b.pop("wall_time_ms")
+    assert a == b
+    assert pooled.least_witnesses == serial.least_witnesses and serial.least_witnesses
+
+
+def _spy_pools(monkeypatch):
+    """The max_workers of every pool the scans start from now on."""
     pools = []
 
     class SpyPool(ProcessPoolExecutor):
@@ -248,13 +260,37 @@ def test_workers_scan_a_group_outside_the_catalog(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", SpyPool)
-    pooled = exhaustive_scan(g, "cayley_integral", workers=2, witness_limit=None)
+    return pools
+
+
+@pytest.mark.parametrize("prop", ["cayley_integral", "cis"])
+def test_workers_tally_a_fourier_group(monkeypatch, prop):
+    """Q8xZ2^2 certifies on its Fourier table.  Its 4096-counter prefix,
+    two chunks, tallies the same on two workers as on one; cis's least
+    witness, counter 2179, lies in the second chunk."""
+    g = build_cached("Q8xZ2^2")
+    assert SubsetFamily.of(g).fourier is not None
+    serial = exhaustive_scan(g, prop, workers=1, witness_limit=None, max_counters=4096)
+    pools = _spy_pools(monkeypatch)
+    pooled = exhaustive_scan(g, prop, workers=2, witness_limit=None, max_counters=4096)
     assert pools == [2]
-    a, b = pooled.stats.to_json_dict(), serial.stats.to_json_dict()
-    a.pop("wall_time_ms")
-    b.pop("wall_time_ms")
-    assert a == b
-    assert pooled.least_witnesses == serial.least_witnesses and serial.least_witnesses
+    assert serial.stats.subsets_enumerated == 4096
+    assert _verdict_json(pooled) == _verdict_json(serial)
+    assert [w.counter for w in serial.least_witnesses] == ([2179] if prop == "cis" else [])
+
+
+def test_workers_witness_scan_a_fourier_group(monkeypatch):
+    """Z2^4 certifies on its characters; a cis witness scan whose 2000th
+    witness lies past the first chunk lists the same witnesses and stats
+    on two workers as on one."""
+    g = build_cached("Z2^4")
+    assert SubsetFamily.of(g).fourier is not None
+    serial = exhaustive_scan(g, "cis", workers=1, witness_limit=2000)
+    pools = _spy_pools(monkeypatch)
+    pooled = exhaustive_scan(g, "cis", workers=2, witness_limit=2000)
+    assert pools == [2]
+    assert len(serial.witnesses) == 2000 and serial.witnesses[-1].counter >= 2048
+    assert _verdict_json(pooled) == _verdict_json(serial)
 
 
 def test_resume_across_worker_counts(tmp_path):
